@@ -18,6 +18,7 @@ from repro.model import (
     get_model,
     perplexity_from_rows,
 )
+from repro.quant import QuantConfig
 
 model_name = sys.argv[1] if len(sys.argv) > 1 else "tinyllama-s"
 print(f"loading {model_name} (trains and caches on first use)...")
@@ -43,7 +44,9 @@ table = [["FP16", fp16, 0.0, 16.0]]
 for cfg in configs:
     setup = build_ptq(model, cfg, calibration)
     ppl = setup.ppl(model, rows)
-    table.append([cfg.label, ppl, ppl - fp16, cfg.bits_per_element()])
+    w_bits = QuantConfig(bits=cfg.w_bits, method=cfg.method,
+                         group_size=cfg.group_size).bits_per_element()
+    table.append([cfg.label, ppl, ppl - fp16, w_bits])
 
 print()
 print(render_table(

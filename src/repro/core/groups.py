@@ -49,7 +49,7 @@ def to_groups(x: np.ndarray, group_size: int, axis: int = -1) -> GroupView:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     x = np.asarray(x)
     axis = axis % x.ndim
-    moved = np.moveaxis(x, axis, -1)
+    moved = x if axis == x.ndim - 1 else np.moveaxis(x, axis, -1)
     length = moved.shape[-1]
     pad = (-length) % group_size
     if pad:
@@ -65,5 +65,6 @@ def from_groups(view: GroupView, groups: np.ndarray | None = None) -> np.ndarray
     flat = g.reshape(*g.shape[:-2], g.shape[-2] * g.shape[-1])
     if view.pad:
         flat = flat[..., : flat.shape[-1] - view.pad]
-    moved = np.moveaxis(flat, -1, view.axis)
-    return moved.reshape(view.original_shape)
+    if view.axis != flat.ndim - 1:
+        flat = np.moveaxis(flat, -1, view.axis)
+    return flat.reshape(view.original_shape)

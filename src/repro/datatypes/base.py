@@ -87,16 +87,14 @@ class GridDataType:
         self.name = name
         self.bits = int(bits)
         self.grid = grid
+        # Largest representable magnitude (used for absmax scaling); the
+        # grid never changes after construction.
+        self.grid_max = float(np.max(np.abs(grid)))
         self._boundaries: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def grid_max(self) -> float:
-        """Largest representable magnitude (used for absmax scaling)."""
-        return float(np.max(np.abs(self.grid)))
-
     @property
     def boundaries(self) -> np.ndarray:
         """Decision-boundary LUT (grid midpoints), computed once."""

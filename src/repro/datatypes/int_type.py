@@ -37,6 +37,19 @@ class IntType(GridDataType):
         """Round-and-saturate to raw integer values (not grid indices)."""
         return np.clip(np.rint(np.asarray(scaled, dtype=np.float64)), -self.qmax, self.qmax)
 
+    def qdq(self, x: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+        """``clip(rint(x / s), ±qmax) * s``, skipping the grid-index round trip.
+
+        Bitwise equal to ``grid[encode(x / s)] * s``: the grid points
+        are exactly the integers ``-qmax..qmax``.  ``+ 0.0`` turns the
+        ``-0.0`` that ``rint`` leaves on small negatives into the grid's
+        ``+0.0``.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if scale is None:
+            scale = self.scale_for(x)
+        return (self.round_clip(x / scale) + 0.0) * scale
+
 
 def round_to_int(x: np.ndarray, bits: int, scale: np.ndarray) -> np.ndarray:
     """Eq. 1 / Eq. 4: ``round(x / s)`` saturated to the n-bit range."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "TILE_BYTES",
     "linear_fwd", "linear_bwd",
     "embedding_fwd", "embedding_bwd",
     "rmsnorm_fwd", "rmsnorm_bwd",
@@ -28,8 +29,50 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Linear / embedding
 # ----------------------------------------------------------------------
+# Decode batches read a weight larger than this many bytes in tiles of
+# output rows of about this size: small enough to stay in a core's L2
+# cache while every row of the batch reads it (see :func:`linear_fwd`).
+TILE_BYTES = 512 * 1024
+
+
 def linear_fwd(x: np.ndarray, w: np.ndarray):
-    """``y = x @ w.T`` for ``x (..., in)`` and ``w (out, in)``."""
+    """``y = x @ w.T`` for ``x (..., in)`` and ``w (out, in)``.
+
+    Weight-stationary decode: for a batch ``x (B, 1, in)`` with ``B > 1``
+    and a C-ordered ``w`` above :data:`TILE_BYTES`, ``y`` is computed in
+    tiles of output rows, ``y[..., o:e] = x @ w[o:e].T``.  Each tile is
+    read from memory once and the other ``B - 1`` rows find it in cache;
+    untiled, every row streams the whole weight.  ``x`` keeps its
+    ``(B, 1, in)`` shape, so numpy still runs one GEMV per row and each
+    output stays the same dot product over the full input.  Row ``b``
+    is therefore bitwise equal to ``x[b] @ w.T``, which rests on a GEMV
+    output not depending on how many outputs share the call
+    (``tests/test_model_layers.py`` checks it).  For that, tiles start on
+    multiples of 16 rows, so every output stays in the same BLAS column
+    block, and no tile is a single row, which numpy would run as a dot
+    product.  A multi-threaded BLAS also splits the untiled call's
+    outputs across threads; those splits must fall on such blocks too
+    (they do for the model widths here on two threads, and always with
+    one thread, as the serving benchmark runs).  Flattening the batch to
+    one ``(B, in)`` GEMM would also read the weight once, but a GEMM
+    sums in another order and moves rows in the last ulp.
+
+    Every other shape — prefill and packed ``(1, T, in)``, single-stream
+    ``(1, 1, in)``, 2-D inputs, training — and F-ordered or smaller
+    weights take ``x @ w.T``.
+    """
+    if (x.ndim == 3 and x.shape[0] > 1 and x.shape[1] == 1
+            and w.flags.c_contiguous and w.nbytes > TILE_BYTES):
+        out = w.shape[0]
+        rows = max(16, TILE_BYTES // w[0].nbytes // 16 * 16)
+        starts = list(range(0, out, rows))
+        if out - starts[-1] == 1:
+            starts.pop()
+        if len(starts) > 1:
+            y = np.empty((x.shape[0], 1, out), dtype=np.result_type(x, w))
+            for o, e in zip(starts, starts[1:] + [out]):
+                y[..., o:e] = x @ w[o:e].T
+            return y, (x, w)
     return x @ w.T, (x, w)
 
 

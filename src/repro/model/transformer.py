@@ -303,15 +303,24 @@ class TransformerLM:
         per-layer cache writes are timed under ``append`` spans — the
         serving engine's tick tracer plugs in here.
 
-        The dense projections and FFN run batched ``(B, 1, d)`` — one
-        pass through the layer stack instead of ``B`` — while attention
-        walks each sequence's own cache at its own position (sequence
-        lengths are ragged under continuous batching).  Every
-        per-sequence op has the same operand shapes as
-        :meth:`decode_step` (numpy matmul applies the ``(1, d)``
-        kernels per batch row), so row ``b`` of the result is
-        bit-identical to the single-stream step — the invariant the
-        serving engine's greedy-equivalence guarantee rests on.
+        The dense projections, the FFN and the vocabulary projection run
+        batched ``(B, 1, d)`` — one pass through the layer stack instead
+        of ``B`` — while attention walks each sequence's own cache at
+        its own position (sequence lengths are ragged under continuous
+        batching).  Row ``b`` of the result is bit-identical to the
+        single-stream step, the invariant the serving engine's
+        greedy-equivalence guarantee rests on.  Elementwise and
+        per-row ops see the same operands as :meth:`decode_step`; the
+        projections go through :func:`~repro.model.layers.linear_fwd`,
+        which keeps the ``(B, 1, d)`` operand so numpy runs one GEMV
+        per row.  A large weight is walked in tiles of output rows, each
+        read from memory once for the whole batch, and every output
+        stays the per-row GEMV dot product over the full ``d`` — equal
+        to the untiled step because a GEMV output does not depend on
+        how many outputs share the call (checked by the layer and engine
+        tests).  Flattening the batch to one ``(B, d)`` GEMM would read
+        each weight once as well, but a GEMM kernel sums in another
+        order and moves rows in the last ulp.
         """
         cfg = self.config
         p = self.params if weights is None else weights
@@ -382,7 +391,8 @@ class TransformerLM:
             x = x + ff
 
         xf, _ = self._norm_fwd(x, p, "norm_f")
-        return (xf @ p["embed"].T)[:, -1]                     # (B, V)
+        logits, _ = L.linear_fwd(xf, p["embed"])              # (B, 1, V)
+        return logits[:, -1]
 
     def prefill_chunk(self, ids, caches, offset=0, final=False,
                       weights=None, act_quant=None):
@@ -526,7 +536,7 @@ class TransformerLM:
         # Vocabulary projection only for rows something will sample.
         need = [j for j, seg in enumerate(segments) if seg.wants_logits]
         rows = xf[0, [spans[j][1] - 1 for j in need]]         # (n, d)
-        logits = rows @ p["embed"].T
+        logits, _ = L.linear_fwd(rows, p["embed"])
         out: list = [None] * len(segments)
         for r, j in enumerate(need):
             out[j] = logits[r]

@@ -44,6 +44,82 @@ class TestLinear:
         assert np.allclose(dw, num_grad(loss, w), atol=1e-5)
 
 
+def _bits(a):
+    """Raw float64 bit patterns: a stricter equality than ``array_equal``
+    (``-0.0`` and ``+0.0`` differ)."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _slice_spy(w):
+    """``w`` as a view that records every row slice taken from it — the
+    tiled path slices the weight, the untiled ``x @ w.T`` never does."""
+    taken = []
+
+    class Spy(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                taken.append(key)
+            return np.asarray(self)[key]
+
+    return w.view(Spy), taken
+
+
+class TestLinearWeightStationary:
+    """Decode batches ``(B, 1, in)`` stream large weights in row tiles;
+    every row must stay bitwise equal to its own single-row GEMV."""
+
+    # (out, in): above TILE_BYTES with out a multiple of the tile rows
+    # (512 rows of 512 -> tiles of 128), not a multiple (1088 -> 8 full
+    # tiles + 64), a one-row remainder merged into the last tile (704 in
+    # -> tiles of 80; 161 = 80 + 81), and an FFN down projection (512 x
+    # 1408 -> tiles of 32).
+    ABOVE = [(512, 512), (1088, 512), (161, 704), (512, 1408)]
+
+    @pytest.mark.parametrize("bsz", [2, 8, 16])
+    @pytest.mark.parametrize("shape", ABOVE)
+    def test_tiled_rows_bitwise_equal_per_row_gemv(self, rng, bsz, shape):
+        w = rng.normal(size=shape)
+        assert w.nbytes > L.TILE_BYTES
+        x = rng.normal(size=(bsz, 1, shape[1]))
+        spy, taken = _slice_spy(w)
+        y, cache = L.linear_fwd(x, spy)
+        assert len(taken) > 1                       # the tiled path ran
+        assert all(s.stop - s.start > 1 for s in taken)
+        assert y.shape == (bsz, 1, shape[0])
+        for b in range(bsz):
+            assert np.array_equal(_bits(y[b]), _bits(x[b] @ w.T))
+        assert cache[0] is x
+
+    @pytest.mark.parametrize("bsz", [2, 8, 16])
+    def test_below_budget_untiled(self, rng, bsz):
+        w = rng.normal(size=(256, 256))              # exactly TILE_BYTES
+        assert w.nbytes == L.TILE_BYTES
+        x = rng.normal(size=(bsz, 1, 256))
+        spy, taken = _slice_spy(w)
+        y, _ = L.linear_fwd(x, spy)
+        assert taken == []
+        assert np.array_equal(_bits(y), _bits(x @ w.T))
+
+    @pytest.mark.parametrize("x_shape", [(1, 1, 512), (1, 7, 512), (3, 2, 512),
+                                         (4, 512)])
+    def test_other_shapes_untiled(self, rng, x_shape):
+        """Single-stream decode, prefill / packed rows, 2-D inputs."""
+        w = rng.normal(size=(1024, 512))
+        x = rng.normal(size=x_shape)
+        spy, taken = _slice_spy(w)
+        y, _ = L.linear_fwd(x, spy)
+        assert taken == []
+        assert np.array_equal(_bits(y), _bits(x @ w.T))
+
+    def test_f_order_weight_untiled(self, rng):
+        w = np.asfortranarray(rng.normal(size=(1024, 512)))
+        x = rng.normal(size=(8, 1, 512))
+        spy, taken = _slice_spy(w)
+        y, _ = L.linear_fwd(x, spy)
+        assert taken == []
+        assert np.array_equal(_bits(y), _bits(x @ w.T))
+
+
 class TestNorms:
     def test_rmsnorm_grad(self, rng):
         x = rng.normal(size=(2, 3, 6))

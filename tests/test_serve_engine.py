@@ -10,6 +10,8 @@ import functools
 import numpy as np
 import pytest
 
+from repro.model import layers as L
+from repro.model.quantized import PTQConfig, build_ptq
 from repro.model.transformer import ModelConfig, TransformerLM
 from repro.quant.kvcache import FP16KVCache, IntKVCache, MantKVCache
 from repro.serve import (
@@ -43,6 +45,18 @@ def opt_model():
     cfg = ModelConfig(vocab_size=VOCAB, d_model=32, n_heads=2, n_layers=2,
                       d_ff=64, max_seq=128, arch="opt", seed=6)
     return TransformerLM(cfg)
+
+
+@pytest.fixture(scope="module")
+def wide_w4a8():
+    """A random-init llama wide enough for tiled decode projections
+    (FFN and LM head weights above ``L.TILE_BYTES``), served MANT W4A8."""
+    cfg = ModelConfig(vocab_size=512, d_model=256, n_heads=4, n_layers=2,
+                      d_ff=704, max_seq=128, seed=11)
+    model = TransformerLM(cfg)
+    ptq = build_ptq(model, PTQConfig(method="mant", w_bits=4, a_bits=8,
+                                     group_size=64))
+    return model, ptq
 
 
 def prompts(n, seed=0, lo=3, hi=12):
@@ -103,6 +117,43 @@ class TestGreedyEquivalence:
         for b, p in enumerate(ps):
             ref = model.decode_step(toks[b], single_caches[b], poss[b])
             assert np.array_equal(batched[b], ref)
+
+    def test_decode_step_batch_bitwise_tiled_w4a8(self, wide_w4a8):
+        """Tiled (weight-stationary) projections keep batched rows
+        bitwise equal to the single-stream step, with MANT W4A8
+        act_quant and the MANT KV cache, step after step."""
+        model, ptq = wide_w4a8
+        tiled = [n for n, w in ptq.weights.items() if w.nbytes > L.TILE_BYTES]
+        assert "embed" in tiled and "layers.0.ffn.wdown" in tiled
+        d_head = model.config.d_head
+
+        def caches():
+            return [MantKVCache(bits=4, group_size=d_head, window=d_head)
+                    for _ in range(model.config.n_layers)]
+
+        rng = np.random.default_rng(13)
+        ps = [rng.integers(0, 512, size=n) for n in (5, 17, 30, 9, 64, 2, 41, 12)]
+        single_caches, batch_caches, toks, poss = [], [], [], []
+        for p in ps:
+            cs, cb = caches(), caches()
+            toks.append(int(np.argmax(model.prefill(
+                p, cs, weights=ptq.weights, act_quant=ptq.act_quant))))
+            model.prefill(p, cb, weights=ptq.weights, act_quant=ptq.act_quant)
+            single_caches.append(cs)
+            batch_caches.append(cb)
+            poss.append(len(p))
+        for _ in range(10):
+            batched = model.decode_step_batch(toks, batch_caches, poss,
+                                              weights=ptq.weights,
+                                              act_quant=ptq.act_quant)
+            for b in range(len(ps)):
+                ref = model.decode_step(toks[b], single_caches[b], poss[b],
+                                        weights=ptq.weights,
+                                        act_quant=ptq.act_quant)
+                assert np.array_equal(batched[b].view(np.uint64),
+                                      ref.view(np.uint64))
+            toks = [int(np.argmax(row)) for row in batched]
+            poss = [pos + 1 for pos in poss]
 
     def test_act_quant_applied_per_sequence(self, model):
         """Tensor-granularity activation scales must not couple batch rows."""
