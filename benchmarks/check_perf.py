@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import timeit
 
@@ -421,10 +422,27 @@ def check_speedups() -> list[str]:
     return failures
 
 
+def scipy_modules_loaded(src_root: str) -> list[str]:
+    """SciPy modules that a fresh ``import repro`` loads (should be none).
+
+    Runs in a subprocess so this process's own imports cannot mask or
+    fake a hit.  The served W4A8KV4 path needs no SciPy, and importing
+    it costs about a second of every cold start.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    probe = ("import sys, repro; print(*sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
 def quick_smoke() -> int:
     """``--quick``: a seconds-scale loadgen + fleet self-check, no sweep.
 
-    Starts with the static invariant lint over ``src`` (strict, no
+    Starts with the import-hygiene gate (``import repro`` must not load
+    SciPy) and the static invariant lint over ``src`` (strict, no
     baseline — ``repro.lint`` findings of any severity fail the gate),
     then validates the full loadgen contract on the virtual clock
     (bit-for-bit trace reproducibility, replay-identical records,
@@ -437,6 +455,12 @@ def quick_smoke() -> int:
 
     src_root = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    print("checking import hygiene (import repro loads no SciPy) ...")
+    loaded = scipy_modules_loaded(src_root)
+    if loaded:
+        print(f"IMPORT GATE FAILED: import repro loaded {', '.join(loaded[:5])}")
+        return 1
+    print("import gate passed")
     print("running static invariant lint (repro.lint, strict) ...")
     if lint_main(["--strict", "--no-baseline", src_root]) != 0:
         print("LINT GATE FAILED")

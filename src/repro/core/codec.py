@@ -37,8 +37,16 @@ codes; reconstruction differs only on boundary-adjacent values):
   (``v/amax`` vs ``boundary/grid_max``) rounds differently than the
   seed's scaled-domain comparison.
 
-The decode path is cheap and is what the fused kernel in
-:mod:`repro.core.fused` folds into the GEMM.
+Decode is a table lookup, the software form of the hardware's
+shift-and-add decoder: every grid row of the stacked tables carries the
+value of each magnitude code (``a·i + 2^i``, or ``i`` for INT groups),
+so dequantizing is one gather, times the sign, times the scale.  The
+table holds exactly what Eq. 2 evaluates to in float64 (exact integers
+for the paper's coefficients), so the lookup is bitwise equal to
+evaluating it per element.  :meth:`MantCodec.qdq` goes one step
+further and gathers signed values straight from the merged-ladder
+positions, never materialising the codes.  The same level table feeds
+the fused kernel's precombined weight terms in :mod:`repro.core.fused`.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ import numpy as np
 from repro.core.groups import GroupView, to_groups, from_groups
 from repro.core.mant import MANT_WEIGHT_A_SET, get_mant_grid
 from repro.datatypes.base import grid_boundaries
+from repro.datatypes.floats import fp16_scale
 from repro.datatypes.int_type import IntType
 
 __all__ = ["MantCodec", "MantEncoded", "GridTables", "grid_tables", "INT_A"]
@@ -59,6 +68,10 @@ __all__ = ["MantCodec", "MantEncoded", "GridTables", "grid_tables", "INT_A"]
 # plain INT option (the 16th data type of Sec. V-A).  Encoded in
 # hardware as a reserved value of the 8-bit ``a`` field.
 INT_A = -1
+
+# Every storable magnitude code (``MantEncoded.magnitude`` is uint8), so
+# the level tables cover any encoding, not only well-formed ones.
+_N_MAGNITUDES = 256
 
 
 @dataclass(frozen=True)
@@ -138,6 +151,8 @@ class _StackedTables:
     grid_sign: np.ndarray          # (n_grids, max_levels) int8
     grid_magnitude: np.ndarray     # (n_grids, max_levels) uint8
     grid_max: np.ndarray           # (n_grids,) float64
+    level: np.ndarray              # (n_grids, 256) float64
+    pos_value: np.ndarray          # (n_grids, B+1) float64
     max_levels: int
 
     @property
@@ -174,6 +189,9 @@ def _stacked_tables(a_tuple: tuple, bits: int) -> _StackedTables:
     grid_sign = np.empty((n, lmax), dtype=np.int8)
     grid_magnitude = np.empty((n, lmax), dtype=np.uint8)
     gmax = np.empty(n)
+    level = np.empty((n, _N_MAGNITUDES))
+    pos_value = np.empty((n, B + 1))
+    mag = np.arange(_N_MAGNITUDES, dtype=np.float64)
     for u, t in enumerate(tables):
         k = t.grid.size
         # A value at merged position p satisfies merged[p-1] < v, so its
@@ -187,6 +205,9 @@ def _stacked_tables(a_tuple: tuple, bits: int) -> _StackedTables:
         grid_magnitude[u, :k] = t.magnitude
         grid_magnitude[u, k:] = t.magnitude[-1]
         gmax[u] = t.grid_max
+        # Eq. 2 per magnitude: exact integers for the paper's grids.
+        level[u] = mag if t.a == INT_A else t.a * mag + 2.0**mag
+        pos_value[u] = level[u, pos_magnitude[u]] * pos_sign[u]
     return _StackedTables(
         ladder=ladder,
         code_table=code_table,
@@ -195,6 +216,8 @@ def _stacked_tables(a_tuple: tuple, bits: int) -> _StackedTables:
         grid_sign=grid_sign,
         grid_magnitude=grid_magnitude,
         grid_max=gmax,
+        level=level,
+        pos_value=pos_value,
         max_levels=lmax,
     )
 
@@ -232,14 +255,18 @@ class _MergedLadder:
         return pos.reshape(values.shape)
 
 
-_LADDER_BUCKETS = 8192
+_LADDER_BUCKETS = 32768
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _merged_ladder(a_tuple: tuple, bits: int) -> _MergedLadder:
-    merged = np.unique(
+    return _ladder_from_boundaries(np.unique(
         np.concatenate([grid_tables(a, bits).boundaries_norm for a in a_tuple])
-    )
+    ))
+
+
+def _ladder_from_boundaries(merged: np.ndarray) -> _MergedLadder:
+    """Bucket LUT over sorted, unique boundaries in ``[-1, 1]``."""
     k = _LADDER_BUCKETS
     width = 2.0 / k
     edges = -1.0 + np.arange(k + 1) * width
@@ -259,6 +286,43 @@ def _group_absmax(groups: np.ndarray) -> np.ndarray:
     """Per-group absmax with all-zero groups mapped to scale base 1."""
     amax = np.maximum(groups.max(axis=-1), -groups.min(axis=-1))
     return np.where(amax <= 0, 1.0, amax)
+
+
+def _resolve_grids(a_per_group: np.ndarray, bits: int):
+    """Map per-group coefficients to stacked-table grid ids.
+
+    Coefficient sets inside the canonical 16-type search space share
+    that one cached table (code counts are identical under the finer
+    merged ladder); only exotic sets build their own, LRU-bounded.
+    """
+    uniq, inv = np.unique(a_per_group.ravel(), return_inverse=True)
+    canon = _CANONICAL_CANDIDATES
+    if uniq.size > 1 and set(uniq.tolist()) <= set(canon):
+        # Mixed canonical coefficients: share the one canonical
+        # table rather than minting a cache entry per subset.
+        st = _stacked_tables(canon, bits)
+        index = {a: i for i, a in enumerate(canon)}
+        remap = np.asarray([index[a] for a in uniq.tolist()], dtype=np.intp)
+        gid = remap[inv].reshape(a_per_group.shape)
+    else:
+        # Single coefficient (key space = distinct a values, small)
+        # or an exotic set: per-set tables, LRU-bounded.
+        st = _stacked_tables(tuple(float(a) for a in uniq), bits)
+        gid = inv.reshape(a_per_group.shape).astype(np.intp)
+    return st, gid
+
+
+def _flat_gather(table_rows: np.ndarray, row_sel, col_idx: np.ndarray):
+    """``table_rows[row_sel[..., None], col_idx]`` via one flat take.
+
+    Flattening the 2-D gather into ``row·width + col`` indices lets
+    numpy run a single contiguous ``take`` instead of a broadcast
+    advanced-indexing pass — the hot gather of the encode path.
+    """
+    if table_rows.shape[0] == 1:
+        return table_rows[0].take(col_idx)
+    lin = col_idx + (row_sel * table_rows.shape[1])[..., None]
+    return table_rows.ravel().take(lin)
 
 
 @dataclass(frozen=True)
@@ -345,55 +409,15 @@ class MantCodec:
         return grid_tables(float(a), self.bits)
 
     def _round_scale(self, scale: np.ndarray) -> np.ndarray:
-        if self.fp16_scales:
-            return scale.astype(np.float16).astype(np.float64)
-        return scale
+        return fp16_scale(scale) if self.fp16_scales else scale
 
     # ------------------------------------------------------------------
-    def _resolve_grids(self, a_per_group: np.ndarray):
-        """Map per-group coefficients to stacked-table grid ids.
+    def _locate(self, w: np.ndarray, a_per_group: np.ndarray):
+        """Shared front half of :meth:`encode` and :meth:`qdq`.
 
-        Coefficient sets inside the canonical 16-type search space share
-        that one cached table (code counts are identical under the finer
-        merged ladder); only exotic sets build their own, LRU-bounded.
-        """
-        uniq, inv = np.unique(a_per_group.ravel(), return_inverse=True)
-        canon = _CANONICAL_CANDIDATES
-        if uniq.size > 1 and set(uniq.tolist()) <= set(canon):
-            # Mixed canonical coefficients: share the one canonical
-            # table rather than minting a cache entry per subset.
-            st = _stacked_tables(canon, self.bits)
-            index = {a: i for i, a in enumerate(canon)}
-            remap = np.asarray([index[a] for a in uniq.tolist()], dtype=np.intp)
-            gid = remap[inv].reshape(a_per_group.shape)
-        else:
-            # Single coefficient (key space = distinct a values, small)
-            # or an exotic set: per-set tables, LRU-bounded.
-            st = _stacked_tables(tuple(float(a) for a in uniq), self.bits)
-            gid = inv.reshape(a_per_group.shape).astype(np.intp)
-        return st, gid
-
-    @staticmethod
-    def _flat_gather(table_rows: np.ndarray, row_sel, col_idx: np.ndarray):
-        """``table_rows[row_sel[..., None], col_idx]`` via one flat take.
-
-        Flattening the 2-D gather into ``row·width + col`` indices lets
-        numpy run a single contiguous ``take`` instead of a broadcast
-        advanced-indexing pass — the hot gather of the encode path.
-        """
-        if table_rows.shape[0] == 1:
-            return table_rows[0].take(col_idx)
-        lin = col_idx + (row_sel * table_rows.shape[1])[..., None]
-        return table_rows.ravel().take(lin)
-
-    # ------------------------------------------------------------------
-    def encode(self, w: np.ndarray, a_per_group: np.ndarray) -> MantEncoded:
-        """Encode ``w`` with the given per-group coefficients.
-
-        ``a_per_group`` has shape ``(rows, n_groups)`` and may contain
-        :data:`INT_A` entries for groups quantized with plain INT.
-        Coefficient selection itself lives in
-        :mod:`repro.core.selection`; this method only applies it.
+        Returns ``(view, st, gid, pos, scale)``: the group view, the
+        stacked tables and per-group grid ids, every value's position
+        in the merged boundary ladder, and the (rounded) group scales.
         """
         w = np.asarray(w, dtype=np.float64)
         if w.ndim != 2:
@@ -407,17 +431,30 @@ class MantCodec:
                 f"a_per_group shape {a_per_group.shape} != {(rows, n_groups)}"
             )
 
-        st, gid = self._resolve_grids(a_per_group)
+        st, gid = _resolve_grids(a_per_group, self.bits)
         amax = _group_absmax(groups)
         vnorm = groups / amax[..., None]
         # One bucketized lookup against the merged boundary ladder
         # locates every value in every selected grid simultaneously; the
-        # per-group grid choice is then two LUT gathers — no Python loop
+        # per-group grid choice is then a LUT gather — no Python loop
         # over coefficient buckets.
         pos = st.ladder.positions(vnorm)
-        sign = self._flat_gather(st.pos_sign, gid, pos)
-        magnitude = self._flat_gather(st.pos_magnitude, gid, pos)
         scale = self._round_scale(amax / st.grid_max[gid])
+        return view, st, gid, pos, scale
+
+    # ------------------------------------------------------------------
+    def encode(self, w: np.ndarray, a_per_group: np.ndarray) -> MantEncoded:
+        """Encode ``w`` with the given per-group coefficients.
+
+        ``a_per_group`` has shape ``(rows, n_groups)`` and may contain
+        :data:`INT_A` entries for groups quantized with plain INT.
+        Coefficient selection itself lives in
+        :mod:`repro.core.selection`; this method only applies it.
+        """
+        a_per_group = np.asarray(a_per_group, dtype=np.float64)
+        view, st, gid, pos, scale = self._locate(w, a_per_group)
+        sign = _flat_gather(st.pos_sign, gid, pos)
+        magnitude = _flat_gather(st.pos_magnitude, gid, pos)
         # Freshly allocated here — freeze now so MantEncoded skips its
         # defensive copy (reserved for caller-supplied arrays).
         for arr in (sign, magnitude, scale):
@@ -430,7 +467,7 @@ class MantCodec:
             a_coeff=a_per_group,  # __post_init__ copies and freezes
             bits=self.bits,
             group_size=self.group_size,
-            original_shape=w.shape,
+            original_shape=view.original_shape,
             pad=view.pad,
         )
 
@@ -455,9 +492,9 @@ class MantCodec:
         bit-identical to :meth:`encode` with the same coefficients.
         """
         a_per_group = np.asarray(a_per_group, dtype=np.float64)
-        st, gid = self._resolve_grids(a_per_group)
-        sign = self._flat_gather(st.grid_sign, gid, codes)
-        magnitude = self._flat_gather(st.grid_magnitude, gid, codes)
+        st, gid = _resolve_grids(a_per_group, self.bits)
+        sign = _flat_gather(st.grid_sign, gid, codes)
+        magnitude = _flat_gather(st.grid_magnitude, gid, codes)
         scale = self._round_scale(amax / st.grid_max[gid])
         # Freshly allocated here — freeze now so MantEncoded skips its
         # defensive copy (reserved for caller-supplied arrays).
@@ -475,28 +512,50 @@ class MantCodec:
         )
 
     # ------------------------------------------------------------------
-    def decode(self, enc: MantEncoded) -> np.ndarray:
-        """Dequantize back to float, undoing grouping and padding."""
-        mag = enc.magnitude.astype(np.float64)
-        sgn = enc.sign.astype(np.float64)
-        a = enc.a_coeff[..., None]
-        # MANT groups: ±(a·i + 2^i); INT groups: ±i.
-        mant_vals = sgn * (a * mag + 2.0**mag)
-        int_vals = sgn * mag
-        vals = np.where(a == INT_A, int_vals, mant_vals)
-        vals = vals * enc.scale[..., None]
+    @staticmethod
+    def _ungroup(vals: np.ndarray, original_shape: tuple, pad: int) -> np.ndarray:
         # Rebuild the group view metadata directly — encode only accepts
         # 2-D weights grouped along the last axis, so no throwaway
         # allocation is needed to recover shape/pad.
         view = GroupView(
             groups=vals,
-            original_shape=tuple(enc.original_shape),
-            axis=len(enc.original_shape) - 1,
-            pad=enc.pad,
+            original_shape=tuple(original_shape),
+            axis=len(original_shape) - 1,
+            pad=pad,
         )
         return from_groups(view)
 
+    def decode(self, enc: MantEncoded) -> np.ndarray:
+        """Dequantize back to float, undoing grouping and padding.
+
+        One gather through the level table, times the scale — bitwise
+        equal to ``sign·(a·i + 2^i)·s`` (``sign·i·s`` for INT groups).
+        """
+        vals = _signed_levels(enc)
+        vals *= enc.scale[..., None]
+        return self._ungroup(vals, enc.original_shape, enc.pad)
+
     # ------------------------------------------------------------------
     def qdq(self, w: np.ndarray, a_per_group: np.ndarray) -> np.ndarray:
-        """Encode-then-decode (fake quantization)."""
-        return self.decode(self.encode(w, a_per_group))
+        """Encode-then-decode (fake quantization), bitwise.
+
+        Gathers each value's signed level straight from its merged-ladder
+        position, so no codes are materialised or frozen.
+        """
+        view, st, gid, pos, scale = self._locate(w, a_per_group)
+        vals = _flat_gather(st.pos_value, gid, pos)
+        vals *= scale[..., None]
+        return self._ungroup(vals, view.original_shape, view.pad)
+
+
+def _signed_levels(enc: MantEncoded) -> np.ndarray:
+    """Per-element signed grid levels ``±(a·i + 2^i)`` (``±i`` for INT).
+
+    A gather through the stacked tables' level rows — the decoder ROM —
+    times the sign: every code's exact value before scaling.  Returns a
+    fresh, writable ``(rows, n_groups, group_size)`` float64 array.
+    """
+    st, gid = _resolve_grids(enc.a_coeff, enc.bits)
+    vals = _flat_gather(st.level, gid, enc.magnitude)
+    vals *= enc.sign
+    return vals

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.codec import MantEncoded, INT_A
+from repro.core.codec import MantEncoded, INT_A, _signed_levels
 from repro.core.groups import to_groups
+from repro.datatypes.floats import fp16_scale
 from repro.datatypes.int_type import IntType
 
 __all__ = [
@@ -86,7 +87,7 @@ def quantize_activations_int8(
     amax = np.where(amax <= 0, 1.0, amax)
     scale = amax / itype.qmax
     if fp16_scales:
-        scale = scale.astype(np.float16).astype(np.float64)
+        scale = fp16_scale(scale)
     codes = itype.round_clip(groups / scale[..., None]).astype(np.int64)
     return QuantizedActivations(
         codes=codes,
@@ -95,11 +96,6 @@ def quantize_activations_int8(
         original_shape=x.shape,
         pad=view.pad,
     )
-
-
-# 2^i for every uint8 magnitude, so the precombine gathers instead of
-# computing a float pow per element.
-_POW2 = 2.0 ** np.arange(256)
 
 
 def _check_compatible(xq: QuantizedActivations, enc: MantEncoded) -> None:
@@ -149,11 +145,7 @@ def combined_weight_terms(enc: MantEncoded) -> np.ndarray:
     cached = getattr(enc, "_combined_terms", None)
     if cached is not None:
         return cached
-    mag = enc.magnitude.astype(np.float64)
-    sgn = enc.sign.astype(np.float64)
-    a = enc.a_coeff[..., None]
-    pow2 = _POW2.take(enc.magnitude)  # LUT beats a float pow per element
-    terms = sgn * np.where(a == INT_A, mag, a * mag + pow2)
+    terms = _signed_levels(enc)  # the codec's level-table gather
     object.__setattr__(enc, "_combined_terms", terms)  # frozen dataclass
     return terms
 

@@ -40,6 +40,7 @@ from repro.core.codec import (
     MantEncoded,
     INT_A,
     grid_tables,
+    _flat_gather,
     _group_absmax,
     _stacked_tables,
 )
@@ -189,7 +190,10 @@ class MseSearchSelector:
         histograms (``Σw`` and ``Σw·v`` per position) contracted with
         the precomputed ``r`` / ``r²`` tables — a (groups × positions) @
         (positions × candidates) matmul instead of 16 full
-        quantize-reconstruct passes.
+        quantize-reconstruct passes.  The matmul runs per chunk of
+        ``_SEARCH_CHUNK_BINS // n_bins`` groups, and that chunk length is
+        part of the result: BLAS rounds a row differently depending on how
+        many rows share the call, and the errors pick the coefficients.
 
         Returns ``(errs, candidates, pos, amax)`` where ``errs`` has
         shape ``(n_candidates, ..., n_groups)``, ``pos`` the per-element
@@ -201,47 +205,47 @@ class MseSearchSelector:
         n_cand = len(candidates)
 
         amax = _group_absmax(groups)
-        vnorm = groups / amax[..., None]
-        pos = tab.ladder.positions(vnorm)
-
         g = groups.shape[-1]
         m = groups.size // g
         n_bins = tab.ladder.boundaries.size + 1
-        flat_vn = vnorm.reshape(m, g)
-        flat_pos = pos.reshape(m, g)
+        flat_groups = groups.reshape(m, g)
+        flat_amax = amax.reshape(m, 1)
         flat_w = None
         if col_weight is not None:
             flat_w = np.broadcast_to(col_weight, groups.shape).reshape(m, g)
-            const = (flat_w * flat_vn * flat_vn).sum(axis=-1)
-        else:
-            const = (flat_vn * flat_vn).sum(axis=-1)
 
+        pos = np.empty((m, g), dtype=np.intp)
         errs = np.empty((n_cand, m))
         block = max(1, _SEARCH_CHUNK_BINS // n_bins)
+        # Normalize, locate and score one chunk of groups at a time, with
+        # both position histograms in buffers every chunk reuses: fresh
+        # multi-MB temporaries per chunk are handed back to the OS by the
+        # allocator and faulted in again, which cost more than the search.
+        # ``ufunc.at`` accumulates in index order, exactly as ``bincount``.
+        hist_w = np.empty((min(block, m), n_bins))
+        hist_wv = np.empty_like(hist_w)
         for s in range(0, m, block):
             e = min(m, s + block)
-            keys = (flat_pos[s:e] + np.arange(e - s)[:, None] * n_bins).ravel()
+            hw, hwv = hist_w[: e - s], hist_wv[: e - s]
+            hw.fill(0.0)
+            hwv.fill(0.0)
+            vn = flat_groups[s:e] / flat_amax[s:e]
+            p = pos[s:e] = tab.ladder.positions(vn)
+            keys = (p + np.arange(e - s)[:, None] * n_bins).ravel()
             if flat_w is None:
-                hist_w = np.bincount(keys, minlength=(e - s) * n_bins)
-                hist_wv = np.bincount(
-                    keys, weights=flat_vn[s:e].ravel(), minlength=(e - s) * n_bins
-                )
+                const = (vn * vn).sum(axis=-1)
+                np.add.at(hw.reshape(-1), keys, 1.0)
+                np.add.at(hwv.reshape(-1), keys, vn.ravel())
             else:
-                wchunk = flat_w[s:e].ravel()
-                hist_w = np.bincount(
-                    keys, weights=wchunk, minlength=(e - s) * n_bins
-                )
-                hist_wv = np.bincount(
-                    keys,
-                    weights=wchunk * flat_vn[s:e].ravel(),
-                    minlength=(e - s) * n_bins,
-                )
-            hist_w = hist_w.reshape(e - s, n_bins)
-            hist_wv = hist_wv.reshape(e - s, n_bins)
+                wchunk = flat_w[s:e]
+                const = (wchunk * vn * vn).sum(axis=-1)
+                np.add.at(hw.reshape(-1), keys, wchunk.ravel())
+                np.add.at(hwv.reshape(-1), keys, (wchunk * vn).ravel())
             # (chunk, n_cand): Σw·r² − 2·Σw·v·r per candidate.
-            quad = hist_w @ tab.recon_sq_table.T - 2.0 * (hist_wv @ tab.recon_table.T)
-            errs[:, s:e] = quad.T + const[s:e]
+            quad = hw @ tab.recon_sq_table.T - 2.0 * (hwv @ tab.recon_table.T)
+            errs[:, s:e] = quad.T + const
         errs *= (amax.reshape(m) ** 2 / g)[None, :]
+        pos = pos.reshape(groups.shape)
         return errs.reshape((n_cand,) + groups.shape[:-1]), candidates, pos, amax
 
     def _candidate_errors(
@@ -320,7 +324,7 @@ class MseSearchSelector:
         tab = _candidate_tables(tuple(candidates), self.bits)
         # (rows, n_groups, g): the winning grid's codes, recovered from
         # the merged positions the search already computed.
-        codes = MantCodec._flat_gather(tab.code_table, best, pos)
+        codes = _flat_gather(tab.code_table, best, pos)
         return codec.from_codes(codes, a, amax, w.shape, view.pad)
 
 
@@ -347,7 +351,14 @@ class VarianceSelector:
         self.include_int = include_int
         self._sorted_a: np.ndarray
         self._thresholds: np.ndarray
+        self._policy_key: tuple
         self._init_theoretical()
+
+    def _set_policy(self, sorted_a: np.ndarray, thresholds: np.ndarray) -> None:
+        """Install a decision policy and the key :meth:`same_policy` compares."""
+        self._sorted_a = sorted_a
+        self._thresholds = thresholds
+        self._policy_key = (tuple(sorted_a.tolist()), tuple(thresholds.tolist()))
 
     # ------------------------------------------------------------------
     def _init_theoretical(self) -> None:
@@ -362,8 +373,10 @@ class VarianceSelector:
             pairs.append((float(np.mean(g * g) - np.mean(g) ** 2), INT_A))
         pairs.sort()
         variances = np.asarray([p[0] for p in pairs])
-        self._sorted_a = np.asarray([p[1] for p in pairs])
-        self._thresholds = 0.5 * (variances[:-1] + variances[1:])
+        self._set_policy(
+            np.asarray([p[1] for p in pairs]),
+            0.5 * (variances[:-1] + variances[1:]),
+        )
 
     # ------------------------------------------------------------------
     def fit(self, calibration_groups: np.ndarray) -> "VarianceSelector":
@@ -404,8 +417,10 @@ class VarianceSelector:
             return self
         pairs.sort()
         var_means = np.asarray([p[0] for p in pairs])
-        self._sorted_a = np.asarray([p[1] for p in pairs])
-        self._thresholds = 0.5 * (var_means[:-1] + var_means[1:])
+        self._set_policy(
+            np.asarray([p[1] for p in pairs]),
+            0.5 * (var_means[:-1] + var_means[1:]),
+        )
         return self
 
     # ------------------------------------------------------------------
@@ -443,9 +458,10 @@ class VarianceSelector:
         and its variance thresholds, so distinct instances (e.g. one per
         pooled KV cache) compare equal if those match — which is what
         lets the caches' fused batch append share one selection call.
+        Both are captured as a tuple key when the policy is installed,
+        so the per-tick check is one tuple comparison.
         """
         return self is other or (
             isinstance(other, VarianceSelector)
-            and np.array_equal(self._sorted_a, other._sorted_a)
-            and np.array_equal(self._thresholds, other._thresholds)
+            and self._policy_key == other._policy_key
         )

@@ -10,7 +10,14 @@ from repro.datatypes.base import GridDataType, nearest_grid_index, absmax_scale
 from repro.datatypes.int_type import IntType, int2, int4, int8, round_to_int
 from repro.datatypes.pot import PotType, pot4, pot4_with_zero
 from repro.datatypes.flint import FlintType, flint4, flint_positive_grid
-from repro.datatypes.floats import FloatType, fp4_e2m1, fp8_e4m3, float_grid, cast_fp16
+from repro.datatypes.floats import (
+    FloatType,
+    fp4_e2m1,
+    fp8_e4m3,
+    float_grid,
+    cast_fp16,
+    fp16_scale,
+)
 from repro.datatypes.normalfloat import NormalFloatType, nf4, nf_positive_half
 from repro.datatypes.mxfp import mxfp4_qdq, e8m0_scale, MXFP_GROUP_SIZE
 from repro.datatypes.abfloat import AbfloatType, OutlierVictimCodec
@@ -35,6 +42,7 @@ __all__ = [
     "fp8_e4m3",
     "float_grid",
     "cast_fp16",
+    "fp16_scale",
     "NormalFloatType",
     "nf4",
     "nf_positive_half",

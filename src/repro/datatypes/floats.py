@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.datatypes.base import GridDataType
 
-__all__ = ["FloatType", "fp4_e2m1", "fp8_e4m3", "float_grid", "cast_fp16"]
+__all__ = ["FloatType", "fp4_e2m1", "fp8_e4m3", "float_grid", "cast_fp16", "fp16_scale"]
 
 
 def float_grid(exp_bits: int, man_bits: int, bias: int | None = None) -> np.ndarray:
@@ -50,6 +50,26 @@ class FloatType(GridDataType):
 def cast_fp16(x: np.ndarray) -> np.ndarray:
     """Round-trip through IEEE binary16, the paper's full-precision type."""
     return np.asarray(x).astype(np.float16).astype(np.float64)
+
+
+# fp16's finite nonzero magnitude range: smallest subnormal, largest finite.
+FP16_SCALE_MIN = 2.0**-24
+FP16_SCALE_MAX = 65504.0
+
+
+def fp16_scale(scale) -> np.ndarray:
+    """Round a positive scaling factor to fp16, clamped to its finite range.
+
+    A plain fp16 round trip turns scales below ~3e-8 into 0 (the group
+    then dequantizes to NaN or ±0) and scales above 65520 into inf (all
+    NaN).  Clamping to ``[2^-24, 65504]`` keeps every group finite: tiny
+    groups quantize on the smallest fp16 step and huge groups saturate at
+    ``±grid_max · 65504``.  Both bounds are fp16 values and rounding is
+    monotone, so clamping first equals clamping the rounded scale, and
+    scales inside the range round exactly as a plain round trip.
+    """
+    clamped = np.minimum(np.maximum(scale, FP16_SCALE_MIN), FP16_SCALE_MAX)
+    return clamped.astype(np.float16).astype(np.float64)
 
 
 fp4_e2m1 = FloatType(2, 1)

@@ -285,9 +285,12 @@ def cached_attention_fwd(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
     t = q.shape[-2]
     s = keys.shape[-2]
     scores = q @ np.swapaxes(keys, -1, -2) / np.sqrt(d_head)
-    qpos = offset + np.arange(t)[:, None]
-    kpos = np.arange(s)[None, :]
-    scores = np.where(kpos <= qpos, scores, -np.inf)
+    if t != 1 or offset != s - 1:
+        # A decode row at the cache's last position sees every entry,
+        # so its causal mask is all true and is skipped.
+        qpos = offset + np.arange(t)[:, None]
+        kpos = np.arange(s)[None, :]
+        scores = np.where(kpos <= qpos, scores, -np.inf)
     probs = softmax(scores, axis=-1)
     return probs @ values
 

@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.groups import to_groups, from_groups
 from repro.datatypes import flint4, pot4_with_zero
 from repro.datatypes.base import GridDataType
+from repro.datatypes.floats import fp16_scale
 from repro.datatypes.int_type import IntType
 from repro.quant.config import Granularity
 
@@ -71,9 +72,7 @@ class AntQuantizer:
         self.fp16_scales = fp16_scales
 
     def _round_scale(self, scale):
-        if self.fp16_scales:
-            return np.asarray(scale).astype(np.float16).astype(np.float64)
-        return scale
+        return fp16_scale(scale) if self.fp16_scales else scale
 
     # ------------------------------------------------------------------
     def _qdq_block(self, block: np.ndarray, dtype: GridDataType) -> np.ndarray:

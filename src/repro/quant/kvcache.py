@@ -52,6 +52,7 @@ import numpy as np
 from repro.core.codec import MantCodec, INT_A
 from repro.core.groups import to_groups, from_groups
 from repro.core.selection import VarianceSelector
+from repro.datatypes.floats import fp16_scale
 from repro.datatypes.int_type import IntType
 from repro.quant.config import KVCacheConfig, QuantConfig
 
@@ -298,7 +299,7 @@ def _int_qdq_lastaxis(x: np.ndarray, bits: int, group_size: int) -> np.ndarray:
     view = to_groups(x, group_size, axis=-1)
     amax = np.max(np.abs(view.groups), axis=-1, keepdims=True)
     amax = np.where(amax <= 0, itype.qmax, amax)
-    scale = (amax / itype.qmax).astype(np.float16).astype(np.float64)
+    scale = fp16_scale(amax / itype.qmax)
     q = itype.round_clip(view.groups / scale)
     return from_groups(view, q * scale)
 
@@ -496,7 +497,7 @@ class MantKVCache(_BufferedKVCache):
         # Channel scales for the decode-stage INT8 staging (Fig. 8).
         ch_max = np.max(np.abs(v), axis=1)            # (heads, d_head)
         ch_max = np.where(ch_max <= 0, 1.0, ch_max)
-        self._stage_scale = (ch_max / self._int8.qmax).astype(np.float16).astype(np.float64)
+        self._stage_scale = fp16_scale(ch_max / self._int8.qmax)
 
         # Prefill V: full windows quantize straight to MANT (both inner
         # dimension data are available), remainder enters staging.
@@ -551,9 +552,7 @@ class MantKVCache(_BufferedKVCache):
             self._v_final += full
         if final:
             ch_max = np.where(self._chunk_ch_max <= 0, 1.0, self._chunk_ch_max)
-            self._stage_scale = (
-                (ch_max / self._int8.qmax).astype(np.float16).astype(np.float64)
-            )
+            self._stage_scale = fp16_scale(ch_max / self._int8.qmax)
             self._chunk_ch_max = None
             if full < t:
                 self._stage_block(v[:, full:, :])
@@ -607,9 +606,7 @@ class MantKVCache(_BufferedKVCache):
             # channel scales regardless of how the cache started).
             heads, d_head = v_t.shape
             ch_max = np.where(np.abs(v_t) <= 0, 1.0, np.abs(v_t))
-            self._stage_scale = (
-                (ch_max / self._int8.qmax).astype(np.float16).astype(np.float64)
-            )
+            self._stage_scale = fp16_scale(ch_max / self._int8.qmax)
             self._reset_buffers(heads, d_head, 16)
             self._v_final = 0
             self._reset_window(heads, d_head)

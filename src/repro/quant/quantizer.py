@@ -16,7 +16,7 @@ from repro.core.groups import to_groups, from_groups
 from repro.datatypes.base import GridDataType
 from repro.datatypes.int_type import IntType
 from repro.datatypes.mxfp import mxfp4_qdq
-from repro.datatypes.floats import cast_fp16
+from repro.datatypes.floats import cast_fp16, fp16_scale
 from repro.quant.config import QuantConfig, Granularity
 
 __all__ = ["GroupQuantizer", "quantize_dequantize", "qdq_with_config"]
@@ -73,9 +73,7 @@ class GroupQuantizer:
         self.fp16_scales = fp16_scales
 
     def _round_scale(self, scale: np.ndarray) -> np.ndarray:
-        if self.fp16_scales:
-            return scale.astype(np.float16).astype(np.float64)
-        return scale
+        return fp16_scale(scale) if self.fp16_scales else scale
 
     def qdq(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         """Quantize-dequantize ``x`` along ``axis``."""
