@@ -150,6 +150,14 @@ def rope_tables(d_head: int, max_seq: int, base: float = 10000.0):
     return np.cos(angles), np.sin(angles)
 
 
+def _rotate(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Turn each split-half pair ``(x1, x2)`` of ``x`` by the angle
+    whose cosine and sine are ``c`` and ``s`` (broadcast over ``x1``)."""
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
+
+
 def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, offset: int = 0):
     """Rotate ``x (..., T, d_head)`` pairs ``(x1, x2) = split-half``.
 
@@ -158,11 +166,7 @@ def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, offset: int = 0)
     outlier-injection pass in :mod:`repro.model.outliers` relies on.
     """
     t = x.shape[-2]
-    c = cos[offset : offset + t]
-    s = sin[offset : offset + t]
-    half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
+    return _rotate(x, cos[offset : offset + t], sin[offset : offset + t])
 
 
 def apply_rope_at(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, positions: np.ndarray):
@@ -175,11 +179,8 @@ def apply_rope_at(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, positions: np
     equals the single-stream rotation at the same position.
     """
     positions = np.asarray(positions)
-    c = cos[positions][:, None, None, :]        # (B, 1, 1, half)
-    s = sin[positions][:, None, None, :]
-    half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
+    return _rotate(x, cos[positions][:, None, None, :],     # (B, 1, 1, half)
+                   sin[positions][:, None, None, :])
 
 
 def apply_rope_ragged(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
@@ -193,11 +194,7 @@ def apply_rope_ragged(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
     each packed token equals its single-sequence rotation bit for bit.
     """
     positions = np.asarray(positions)
-    c = cos[positions]                          # (T, half)
-    s = sin[positions]
-    half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
+    return _rotate(x, cos[positions], sin[positions])      # (T, half)
 
 
 def rope_fwd(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, offset: int = 0):
@@ -207,11 +204,7 @@ def rope_fwd(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, offset: int = 0):
 def rope_bwd(dy: np.ndarray, cache):
     cos, sin, offset, t = cache
     # Rotation is orthogonal: the gradient rotates by the inverse angle.
-    c = cos[offset : offset + t]
-    s = sin[offset : offset + t]
-    half = dy.shape[-1] // 2
-    d1, d2 = dy[..., :half], dy[..., half:]
-    return np.concatenate([d1 * c + d2 * s, -d1 * s + d2 * c], axis=-1)
+    return _rotate(dy, cos[offset : offset + t], -sin[offset : offset + t])
 
 
 # ----------------------------------------------------------------------

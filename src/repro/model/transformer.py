@@ -7,10 +7,30 @@ Two architecture families mirror the paper's model zoo:
 * ``"opt"`` — LayerNorm (gain+bias), learned absolute position
   embeddings, ReLU FFN, pre-norm, tied embeddings (OPT structure).
 
-The training path (:func:`loss_and_grads`) does a full manual backward
-pass; the inference path (:func:`forward_logits`, :func:`decode_step`,
-and the continuous-batching :func:`decode_step_batch`) accepts the
-quantization hooks the accuracy experiments plug in:
+Every inference face runs one layer stack (``TransformerLM._stack``:
+embedding → pre-norm blocks → final norm), so each block — W4
+projections, A8 activation quantization on every projection input,
+KV4 cache writes and reads in attention — is written once.  The faces
+differ only in how attention meets the caches and how ``act_quant`` is
+split up:
+
+* :meth:`~TransformerLM.forward_logits` — teacher-forced, no cache;
+  ``kv_quant`` intercepts the attention operands (Tbl. II's path) and
+  ``act_quant`` sees each projection input whole.
+* :meth:`~TransformerLM.forward_mixed` — the one cached forward, over
+  any mix of decode rows and prompt chunks of many sequences.  It lays
+  decode-only calls out per row ``(B, 1, d)`` (one GEMV per row,
+  bitwise the single-sequence step) and packs calls with chunks along
+  one time axis ``(1, T, d)``; ``act_quant`` runs per segment.
+  :meth:`~TransformerLM.prefill`, :meth:`~TransformerLM.prefill_chunk`,
+  :meth:`~TransformerLM.decode_step` and
+  :meth:`~TransformerLM.decode_step_batch` are single calls of it.
+
+The training path (:meth:`~TransformerLM.loss_and_grads`) keeps its own
+taped forward and a full manual backward pass.
+
+The inference faces accept the quantization hooks the accuracy
+experiments plug in:
 
 ``weights``
     Substituted (fake-quantized) weight dict.
@@ -32,7 +52,7 @@ backends.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,6 +196,24 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
+def _per_slice(act_quant, spans=(), axis=0):
+    """The stack's ``q(name, h)``: ``act_quant`` applied to each
+    ``[start, end)`` slice of ``h`` along ``axis`` on its own.
+
+    Without ``spans``, or with one, it sees the whole tensor.  Tensor- or channel-granularity
+    scales computed across slices would couple the sequences sharing a
+    forward, so each sequence keeps its single-stream numerics.
+    """
+    if act_quant is None:
+        return lambda name, h: h
+    if len(spans) <= 1:
+        return act_quant
+    index = [(slice(None),) * axis + (slice(s, e),) for s, e in spans]
+    return lambda name, h: np.concatenate(
+        [act_quant(name, h[i]) for i in index], axis=axis
+    )
+
+
 class TransformerLM:
     """Stateless model wrapper: params dict in, logits/grads out."""
 
@@ -198,7 +236,51 @@ class TransformerLM:
         return L.layernorm_fwd(x, params[prefix + ".g"], params[prefix + ".b"])
 
     # ==================================================================
-    # Inference forward (with quantization hooks)
+    # The layer stack every inference face runs through
+    # ==================================================================
+    def _stack(self, ids, positions, p, q, rope, attend):
+        """Embedding → ``n_layers`` pre-norm blocks → final norm.
+
+        ``ids`` is ``(B, T)`` and ``positions`` (absolute, for the OPT
+        position table) broadcasts against it.  The faces differ only in
+        three strategies: ``q(name, h)`` quantizes the input of
+        projection ``name``; ``rope(h)`` rotates ``(B, H, T, d_head)``
+        queries and keys (llama only); ``attend(i, qh, kh, vh)`` writes
+        layer ``i``'s caches, if any, and returns the attention output
+        with heads merged, ``(B, T, d)``.
+        """
+        cfg = self.config
+        x, _ = L.embedding_fwd(ids, p["embed"])
+        if cfg.arch == "opt":
+            x = x + p["pos_embed"][positions]
+        for i in range(cfg.n_layers):
+            pre = f"layers.{i}."
+            h, _ = self._norm_fwd(x, p, pre + "norm1")
+            h_in = q(pre + "attn.wq", h)
+            qh, kh, vh = (_split_heads(L.linear_fwd(h_in, p[pre + w])[0], cfg.n_heads)
+                          for w in ("attn.wq", "attn.wk", "attn.wv"))
+            if cfg.arch == "llama":
+                qh, kh = rope(qh), rope(kh)
+            att = attend(i, qh, kh, vh)
+            o, _ = L.linear_fwd(q(pre + "attn.wo", att), p[pre + "attn.wo"])
+            x = x + o
+
+            h2, _ = self._norm_fwd(x, p, pre + "norm2")
+            if cfg.arch == "llama":
+                h2q = q(pre + "ffn.wgate", h2)
+                g, _ = L.linear_fwd(h2q, p[pre + "ffn.wgate"])
+                u, _ = L.linear_fwd(h2q, p[pre + "ffn.wup"])
+                act, _ = L.silu_fwd(g)
+                ff, _ = L.linear_fwd(q(pre + "ffn.wdown", act * u), p[pre + "ffn.wdown"])
+            else:
+                a1, _ = L.linear_fwd(q(pre + "ffn.w1", h2), p[pre + "ffn.w1"])
+                act, _ = L.relu_fwd(a1)
+                ff, _ = L.linear_fwd(q(pre + "ffn.w2", act), p[pre + "ffn.w2"])
+            x = x + ff
+        return self._norm_fwd(x, p, "norm_f")[0]
+
+    # ==================================================================
+    # Inference faces (with quantization hooks)
     # ==================================================================
     def forward_logits(
         self,
@@ -213,76 +295,38 @@ class TransformerLM:
         per-layer attention operands ``(B, H, T, d_head)`` —
         prefill-style KV cache quantization plus the 8-bit attention
         activation path (what the Wikitext rows of Tbl. II measure).
+        ``act_quant`` sees each projection input whole.
         """
-        cfg = self.config
         p = self.params if weights is None else weights
         ids = np.atleast_2d(ids)
-        x, _ = L.embedding_fwd(ids, p["embed"])
-        if cfg.arch == "opt":
-            x = x + p["pos_embed"][: ids.shape[1]]
 
-        def q(name, val):
-            return val if act_quant is None else act_quant(name, val)
-
-        for i in range(cfg.n_layers):
-            pre = f"layers.{i}."
-            h, _ = self._norm_fwd(x, p, pre + "norm1")
-            h_in = q(pre + "attn.wq", h)
-            qp, _ = L.linear_fwd(h_in, p[pre + "attn.wq"])
-            kp, _ = L.linear_fwd(h_in, p[pre + "attn.wk"])
-            vp, _ = L.linear_fwd(h_in, p[pre + "attn.wv"])
-            qh = _split_heads(qp, cfg.n_heads)
-            kh = _split_heads(kp, cfg.n_heads)
-            vh = _split_heads(vp, cfg.n_heads)
-            if cfg.arch == "llama":
-                qh = L.apply_rope(qh, self._cos, self._sin)
-                kh = L.apply_rope(kh, self._cos, self._sin)
+        def attend(i, qh, kh, vh):
             if kv_quant is not None:
                 qh, kh, vh = kv_quant(i, qh, kh, vh)
-            att, _ = L.causal_attention_fwd(qh, kh, vh)
-            att = _merge_heads(att)
-            o, _ = L.linear_fwd(q(pre + "attn.wo", att), p[pre + "attn.wo"])
-            x = x + o
+            return _merge_heads(L.causal_attention_fwd(qh, kh, vh)[0])
 
-            h2, _ = self._norm_fwd(x, p, pre + "norm2")
-            if cfg.arch == "llama":
-                h2q = q(pre + "ffn.wgate", h2)
-                g, _ = L.linear_fwd(h2q, p[pre + "ffn.wgate"])
-                u, _ = L.linear_fwd(h2q, p[pre + "ffn.wup"])
-                act, _ = L.silu_fwd(g)
-                ff_in = q(pre + "ffn.wdown", act * u)
-                ff, _ = L.linear_fwd(ff_in, p[pre + "ffn.wdown"])
-            else:
-                h2q = q(pre + "ffn.w1", h2)
-                a1, _ = L.linear_fwd(h2q, p[pre + "ffn.w1"])
-                act, _ = L.relu_fwd(a1)
-                ff_in = q(pre + "ffn.w2", act)
-                ff, _ = L.linear_fwd(ff_in, p[pre + "ffn.w2"])
-            x = x + ff
+        xf = self._stack(ids, np.arange(ids.shape[1]), p, _per_slice(act_quant),
+                         lambda h: L.apply_rope(h, self._cos, self._sin), attend)
+        return xf @ p["embed"].T
 
-        xf, _ = self._norm_fwd(x, p, "norm_f")
-        logits = xf @ p["embed"].T
-        return logits
-
-    # ==================================================================
-    # Generation with per-layer KV caches
-    # ==================================================================
     def prefill(self, ids: np.ndarray, caches: list, weights=None, act_quant=None) -> np.ndarray:
-        """Run the prompt, filling one KVCache per layer.
+        """Run the prompt into one fresh KVCache per layer.
 
         ``ids``: 1-D prompt.  Returns logits of the last position (V,).
-        Caches receive per-head tensors shaped ``(H, T, d_head)`` —
-        batch size 1 is assumed for generation, as in the paper's
-        single-batch decode scenario.
+        One :meth:`prefill_chunk` of the whole prompt: caches receive
+        per-head ``(H, T, d_head)`` tensors through
+        :meth:`~repro.quant.kvcache.KVCache.prefill_chunk`, which for a
+        single final chunk is bit-identical to a plain ``prefill``.
         """
-        x = self._run_tokens(ids[None, :], caches, offset=0, weights=weights, act_quant=act_quant)
-        return x[0, -1]
+        return self.prefill_chunk(ids, caches, 0, final=True,
+                                  weights=weights, act_quant=act_quant)
 
     def decode_step(self, token: int, caches: list, pos: int, weights=None, act_quant=None) -> np.ndarray:
         """One decode iteration: append to caches, return logits (V,)."""
-        ids = np.asarray([[token]])
-        x = self._run_tokens(ids, caches, offset=pos, weights=weights, act_quant=act_quant)
-        return x[0, -1]
+        return self.forward_mixed(
+            [MixedSegment([token], caches, pos, MixedSegment.DECODE)],
+            weights=weights, act_quant=act_quant,
+        )[0]
 
     def decode_step_batch(
         self,
@@ -298,101 +342,18 @@ class TransformerLM:
         ``tokens``: length-``B`` ints (the token each sequence feeds in);
         ``caches_per_seq``: per-sequence lists of per-layer KV caches;
         ``positions``: length-``B`` absolute positions of those tokens.
-        Returns logits ``(B, V)``.  ``trace``, when given, is a span
-        factory (``trace("append")`` returns a context manager) and the
-        per-layer cache writes are timed under ``append`` spans — the
-        serving engine's tick tracer plugs in here.
-
-        The dense projections, the FFN and the vocabulary projection run
-        batched ``(B, 1, d)`` — one pass through the layer stack instead
-        of ``B`` — while attention walks each sequence's own cache at
-        its own position (sequence lengths are ragged under continuous
-        batching).  Row ``b`` of the result is bit-identical to the
-        single-stream step, the invariant the serving engine's
-        greedy-equivalence guarantee rests on.  Elementwise and
-        per-row ops see the same operands as :meth:`decode_step`; the
-        projections go through :func:`~repro.model.layers.linear_fwd`,
-        which keeps the ``(B, 1, d)`` operand so numpy runs one GEMV
-        per row.  A large weight is walked in tiles of output rows, each
-        read from memory once for the whole batch, and every output
-        stays the per-row GEMV dot product over the full ``d`` — equal
-        to the untiled step because a GEMV output does not depend on
-        how many outputs share the call (checked by the layer and engine
-        tests).  Flattening the batch to one ``(B, d)`` GEMM would read
-        each weight once as well, but a GEMM kernel sums in another
-        order and moves rows in the last ulp.
+        Returns logits ``(B, V)``, row ``b`` bit-identical to
+        :meth:`decode_step` of sequence ``b`` alone: this is
+        :meth:`forward_mixed` over ``B`` decode segments, which takes
+        the per-row layout described there.
         """
-        cfg = self.config
-        p = self.params if weights is None else weights
-        bsz = len(tokens)
-        if not (bsz == len(caches_per_seq) == len(positions)):
+        if not (len(tokens) == len(caches_per_seq) == len(positions)):
             raise ValueError("tokens, caches_per_seq and positions must align")
-        positions = np.asarray(positions, dtype=np.int64)
-        ids = np.asarray(tokens, dtype=np.int64).reshape(bsz, 1)
-        x, _ = L.embedding_fwd(ids, p["embed"])               # (B, 1, d)
-        if cfg.arch == "opt":
-            x = x + p["pos_embed"][positions][:, None, :]
-
-        def q(name, val):
-            # Activation quantization is applied per sequence: tensor- or
-            # channel-granularity scales computed over the whole batch
-            # would couple sequences and break the per-row bit-identity
-            # with the single-stream step (which quantizes (1, 1, d)).
-            if act_quant is None:
-                return val
-            return np.concatenate(
-                [act_quant(name, val[b : b + 1]) for b in range(bsz)]
-            )
-
-        for i in range(cfg.n_layers):
-            pre = f"layers.{i}."
-            h, _ = self._norm_fwd(x, p, pre + "norm1")
-            h_in = q(pre + "attn.wq", h)
-            qp, _ = L.linear_fwd(h_in, p[pre + "attn.wq"])
-            kp, _ = L.linear_fwd(h_in, p[pre + "attn.wk"])
-            vp, _ = L.linear_fwd(h_in, p[pre + "attn.wv"])
-            qh = _split_heads(qp, cfg.n_heads)                # (B, H, 1, dh)
-            kh = _split_heads(kp, cfg.n_heads)
-            vh = _split_heads(vp, cfg.n_heads)
-            if cfg.arch == "llama":
-                qh = L.apply_rope_at(qh, self._cos, self._sin, positions)
-                kh = L.apply_rope_at(kh, self._cos, self._sin, positions)
-            layer_caches = [caches_per_seq[b][i] for b in range(bsz)]
-            # Fused when the caches' configs allow, one quantization call
-            # for the whole batch — bit-identical to per-cache appends;
-            # append_batch itself falls back to the loop on mixed setups.
-            with _NULL_CTX if trace is None else trace("append"):
-                type(layer_caches[0]).append_batch(
-                    layer_caches, kh[:, :, 0, :], vh[:, :, 0, :]
-                )
-            att_rows = []
-            for b, cache in enumerate(layer_caches):
-                att_rows.append(
-                    L.cached_attention_fwd(
-                        qh[b], cache.keys(), cache.values(), offset=int(positions[b])
-                    )
-                )
-            att = _merge_heads(np.stack(att_rows))            # (B, 1, d)
-            o, _ = L.linear_fwd(q(pre + "attn.wo", att), p[pre + "attn.wo"])
-            x = x + o
-
-            h2, _ = self._norm_fwd(x, p, pre + "norm2")
-            if cfg.arch == "llama":
-                h2q = q(pre + "ffn.wgate", h2)
-                g, _ = L.linear_fwd(h2q, p[pre + "ffn.wgate"])
-                u, _ = L.linear_fwd(h2q, p[pre + "ffn.wup"])
-                act, _ = L.silu_fwd(g)
-                ff, _ = L.linear_fwd(q(pre + "ffn.wdown", act * u), p[pre + "ffn.wdown"])
-            else:
-                h2q = q(pre + "ffn.w1", h2)
-                a1, _ = L.linear_fwd(h2q, p[pre + "ffn.w1"])
-                act, _ = L.relu_fwd(a1)
-                ff, _ = L.linear_fwd(q(pre + "ffn.w2", act), p[pre + "ffn.w2"])
-            x = x + ff
-
-        xf, _ = self._norm_fwd(x, p, "norm_f")
-        logits, _ = L.linear_fwd(xf, p["embed"])              # (B, 1, V)
-        return logits[:, -1]
+        return np.stack(self.forward_mixed(
+            [MixedSegment([tok], caches, pos, MixedSegment.DECODE)
+             for tok, caches, pos in zip(tokens, caches_per_seq, positions)],
+            weights=weights, act_quant=act_quant, trace=trace,
+        ))
 
     def prefill_chunk(self, ids, caches, offset=0, final=False,
                       weights=None, act_quant=None):
@@ -415,185 +376,109 @@ class TransformerLM:
 
     def forward_mixed(self, segments, weights=None, act_quant=None,
                       trace=None):
-        """One fused forward over decode rows *and* prefill chunks.
+        """The cached forward: decode rows *and* prefill chunks in one pass.
 
         ``segments`` is a list of :class:`MixedSegment`s — any mix of
         single-token decode rows and multi-token prompt chunks, each
-        with its own per-layer caches and absolute ``offset``.  All
-        segments are packed along one time axis so every dense op (the
-        projections, the FFN, the norms — all position-independent per
-        token) runs once for the whole tick, while RoPE gathers each
-        token's own rotation row and attention walks each segment's own
-        cache at its ragged position through the
-        :func:`~repro.model.layers.cached_attention_fwd` seam.  Decode
-        rows fuse their cache appends through ``append_batch`` exactly
-        like :meth:`decode_step_batch`; chunk segments extend their
-        caches with ``prefill_chunk``.
+        with its own per-layer caches and absolute ``offset``.  Every
+        cached face (:meth:`prefill`, :meth:`prefill_chunk`,
+        :meth:`decode_step`, :meth:`decode_step_batch`) is a call of
+        this method.  Returns one entry per segment: last-position
+        logits ``(V,)`` for decode rows and final chunks, ``None`` for
+        non-final chunks (their logits are never sampled, so the
+        vocabulary projection skips them).
 
-        Returns one entry per segment: last-position logits ``(V,)``
-        for decode rows and final chunks, ``None`` for non-final chunks
-        (their logits are never sampled, so the vocabulary projection
-        skips them entirely).
+        The operand layout follows the segments:
 
-        Numerics: per-token cache quantization is exactly the
-        single-sequence math (group-wise ops are row-independent), but
-        the packed GEMMs may differ from the per-sequence ones by float
-        rounding in the last ulp — BLAS kernels are not bitwise
-        invariant to row count — so mixed-tick output is guaranteed
-        token-identical (quantization grids absorb ulp noise), not
-        logits-bitwise-identical, to the unpacked paths.  ``act_quant``
-        is applied per segment, matching :meth:`decode_step_batch` for
-        decode rows; chunked prefill applies it per chunk, which is
-        exact for the per-token group-wise quantizers serving uses.
+        * **All decode rows** — per-row ``(B, 1, d)``.  The projections
+          and the vocabulary projection go through
+          :func:`~repro.model.layers.linear_fwd`, which keeps one GEMV
+          per row and walks a large weight in tiles of output rows, each
+          read from memory once for the whole batch.  A GEMV output does
+          not depend on how many outputs share the call, so row ``b`` is
+          bit-identical to the single-sequence step — the invariant the
+          serving engine's greedy equivalence rests on.  Flattening the
+          rows to one ``(B, d)`` GEMM would read each weight once as
+          well, but a GEMM sums in another order and moves rows in the
+          last ulp.
+        * **Any prompt chunk** — all segments packed along one time axis
+          ``(1, T, d)``, so every dense op runs once for the whole tick.
+          BLAS kernels are not bitwise invariant to row count, so packed
+          output is token-identical (quantization grids absorb ulp
+          noise), not logits-bitwise-identical, to unpacked runs.
+
+        Either way RoPE gathers each token's own rotation row, decode
+        rows fuse their cache appends through ``append_batch``, chunks
+        extend their caches with ``prefill_chunk``, and attention walks
+        each segment's own cache at its ragged position through
+        :func:`~repro.model.layers.cached_attention_fwd`.  Per-token
+        cache quantization is exactly the single-sequence math.
+
+        ``act_quant`` is applied per segment: tensor- or
+        channel-granularity scales computed across segments would couple
+        sequences.  A chunked prefill is therefore quantized per chunk,
+        which is exact for the per-token group-wise quantizers serving
+        uses.  ``trace``, when given, is a span factory
+        (``trace("append")`` returns a context manager) timing the
+        per-layer cache writes — the serving engine's tick tracer plugs
+        in here.
         """
-        cfg = self.config
-        p = self.params if weights is None else weights
         if not segments:
             return []
-        spans = []                                   # packed [start, end) per segment
+        p = self.params if weights is None else weights
+        spans = []                                   # [start, end) per segment
         start = 0
         for seg in segments:
             spans.append((start, start + seg.ids.size))
             start += seg.ids.size
-        ids_packed = np.concatenate([seg.ids for seg in segments])[None, :]
+        ids = np.concatenate([seg.ids for seg in segments])
         positions = np.concatenate(
             [seg.offset + np.arange(seg.ids.size, dtype=np.int64) for seg in segments]
         )
-        x, _ = L.embedding_fwd(ids_packed, p["embed"])        # (1, T, d)
-        if cfg.arch == "opt":
-            x = x + p["pos_embed"][positions][None, :, :]
+        decode = [j for j, seg in enumerate(segments) if seg.kind == MixedSegment.DECODE]
+        decode_starts = [spans[j][0] for j in decode]
+        rows = len(decode) == len(segments)
 
-        decode_idx = [i for i, seg in enumerate(segments)
-                      if seg.kind == MixedSegment.DECODE]
-        decode_starts = np.asarray([spans[i][0] for i in decode_idx], dtype=np.int64)
+        def rope(h):
+            if rows:
+                return L.apply_rope_at(h, self._cos, self._sin, positions)
+            return L.apply_rope_ragged(h, self._cos, self._sin, positions)
 
-        def q(name, val):
-            # Per segment, like decode_step_batch's per-sequence rule:
-            # batch-wide scales would couple sequences.
-            if act_quant is None:
-                return val
-            return np.concatenate(
-                [act_quant(name, val[:, s:e]) for s, e in spans], axis=1
-            )
-
-        for i in range(cfg.n_layers):
-            pre = f"layers.{i}."
-            h, _ = self._norm_fwd(x, p, pre + "norm1")
-            h_in = q(pre + "attn.wq", h)
-            qp, _ = L.linear_fwd(h_in, p[pre + "attn.wq"])
-            kp, _ = L.linear_fwd(h_in, p[pre + "attn.wk"])
-            vp, _ = L.linear_fwd(h_in, p[pre + "attn.wv"])
-            qh = _split_heads(qp, cfg.n_heads)[0]             # (H, T, dh)
-            kh = _split_heads(kp, cfg.n_heads)[0]
-            vh = _split_heads(vp, cfg.n_heads)[0]
-            if cfg.arch == "llama":
-                qh = L.apply_rope_ragged(qh, self._cos, self._sin, positions)
-                kh = L.apply_rope_ragged(kh, self._cos, self._sin, positions)
-            # Cache writes: decode rows fuse one append_batch across the
-            # tick (same as decode_step_batch), chunks extend per segment.
+        def attend(i, qh, kh, vh):
+            caches = [seg.caches[i] for seg in segments]
+            if rows:                                 # (B, H, 1, dh)
+                q_seg, k_dec, v_dec = list(qh), kh[:, :, 0, :], vh[:, :, 0, :]
+            else:                                    # (1, H, T, dh)
+                qh, kh, vh = qh[0], kh[0], vh[0]
+                q_seg = [qh[:, s:e, :] for s, e in spans]
+                k_dec = kh[:, decode_starts, :].transpose(1, 0, 2)
+                v_dec = vh[:, decode_starts, :].transpose(1, 0, 2)
             with _NULL_CTX if trace is None else trace("append"):
-                if decode_idx:
-                    layer_caches = [segments[j].caches[i] for j in decode_idx]
-                    type(layer_caches[0]).append_batch(
-                        layer_caches,
-                        kh[:, decode_starts, :].transpose(1, 0, 2),
-                        vh[:, decode_starts, :].transpose(1, 0, 2),
-                    )
-                for seg, (s, e) in zip(segments, spans):
+                if decode:                           # one fused append for every row
+                    dec = [caches[j] for j in decode]
+                    type(dec[0]).append_batch(dec, k_dec, v_dec)
+                for seg, cache, (s, e) in zip(segments, caches, spans):
                     if seg.kind != MixedSegment.DECODE:
-                        seg.caches[i].prefill_chunk(
-                            kh[:, s:e, :], vh[:, s:e, :],
-                            final=seg.kind == MixedSegment.CHUNK_FINAL,
-                        )
-            att_rows = []
-            for seg, (s, e) in zip(segments, spans):
-                cache = seg.caches[i]
-                att_rows.append(
-                    L.cached_attention_fwd(
-                        qh[:, s:e, :], cache.keys(), cache.values(),
-                        offset=seg.offset,
-                    )
-                )
-            att = _merge_heads(np.concatenate(att_rows, axis=1)[None])  # (1, T, d)
-            o, _ = L.linear_fwd(q(pre + "attn.wo", att), p[pre + "attn.wo"])
-            x = x + o
+                        cache.prefill_chunk(kh[:, s:e, :], vh[:, s:e, :],
+                                            final=seg.kind == MixedSegment.CHUNK_FINAL)
+            att = [L.cached_attention_fwd(qs, cache.keys(), cache.values(), offset=seg.offset)
+                   for qs, cache, seg in zip(q_seg, caches, segments)]
+            return _merge_heads(np.stack(att) if rows else np.concatenate(att, axis=1)[None])
 
-            h2, _ = self._norm_fwd(x, p, pre + "norm2")
-            if cfg.arch == "llama":
-                h2q = q(pre + "ffn.wgate", h2)
-                g, _ = L.linear_fwd(h2q, p[pre + "ffn.wgate"])
-                u, _ = L.linear_fwd(h2q, p[pre + "ffn.wup"])
-                act, _ = L.silu_fwd(g)
-                ff, _ = L.linear_fwd(q(pre + "ffn.wdown", act * u), p[pre + "ffn.wdown"])
-            else:
-                h2q = q(pre + "ffn.w1", h2)
-                a1, _ = L.linear_fwd(h2q, p[pre + "ffn.w1"])
-                act, _ = L.relu_fwd(a1)
-                ff, _ = L.linear_fwd(q(pre + "ffn.w2", act), p[pre + "ffn.w2"])
-            x = x + ff
-
-        xf, _ = self._norm_fwd(x, p, "norm_f")
+        layout = (-1, 1) if rows else (1, -1)
+        xf = self._stack(ids.reshape(layout), positions.reshape(layout), p,
+                         _per_slice(act_quant, spans, axis=0 if rows else 1),
+                         rope, attend)
+        if rows:
+            logits, _ = L.linear_fwd(xf, p["embed"])          # (B, 1, V)
+            return list(logits[:, 0])
         # Vocabulary projection only for rows something will sample.
         need = [j for j, seg in enumerate(segments) if seg.wants_logits]
-        rows = xf[0, [spans[j][1] - 1 for j in need]]         # (n, d)
-        logits, _ = L.linear_fwd(rows, p["embed"])
+        logits, _ = L.linear_fwd(xf[0, [spans[j][1] - 1 for j in need]], p["embed"])
         out: list = [None] * len(segments)
         for r, j in enumerate(need):
             out[j] = logits[r]
         return out
-
-    def _run_tokens(self, ids, caches, offset, weights=None, act_quant=None):
-        cfg = self.config
-        p = self.params if weights is None else weights
-        t = ids.shape[1]
-        x, _ = L.embedding_fwd(ids, p["embed"])
-        if cfg.arch == "opt":
-            x = x + p["pos_embed"][offset : offset + t]
-
-        def q(name, val):
-            return val if act_quant is None else act_quant(name, val)
-
-        for i in range(cfg.n_layers):
-            pre = f"layers.{i}."
-            h, _ = self._norm_fwd(x, p, pre + "norm1")
-            h_in = q(pre + "attn.wq", h)
-            qp, _ = L.linear_fwd(h_in, p[pre + "attn.wq"])
-            kp, _ = L.linear_fwd(h_in, p[pre + "attn.wk"])
-            vp, _ = L.linear_fwd(h_in, p[pre + "attn.wv"])
-            qh = _split_heads(qp, cfg.n_heads)[0]   # (H, t, dh)
-            kh = _split_heads(kp, cfg.n_heads)[0]
-            vh = _split_heads(vp, cfg.n_heads)[0]
-            if cfg.arch == "llama":
-                qh = L.apply_rope(qh, self._cos, self._sin, offset=offset)
-                kh = L.apply_rope(kh, self._cos, self._sin, offset=offset)
-            cache = caches[i]
-            if offset == 0:
-                cache.prefill(kh, vh)
-            else:
-                for j in range(t):
-                    cache.append(kh[:, j, :], vh[:, j, :])
-            att = L.cached_attention_fwd(qh, cache.keys(), cache.values(),
-                                         offset=offset)      # (H, t, dh)
-            att = _merge_heads(att[None])
-            o, _ = L.linear_fwd(q(pre + "attn.wo", att), p[pre + "attn.wo"])
-            x = x + o
-
-            h2, _ = self._norm_fwd(x, p, pre + "norm2")
-            if cfg.arch == "llama":
-                h2q = q(pre + "ffn.wgate", h2)
-                g, _ = L.linear_fwd(h2q, p[pre + "ffn.wgate"])
-                u, _ = L.linear_fwd(h2q, p[pre + "ffn.wup"])
-                act, _ = L.silu_fwd(g)
-                ff, _ = L.linear_fwd(q(pre + "ffn.wdown", act * u), p[pre + "ffn.wdown"])
-            else:
-                h2q = q(pre + "ffn.w1", h2)
-                a1, _ = L.linear_fwd(h2q, p[pre + "ffn.w1"])
-                act, _ = L.relu_fwd(a1)
-                ff, _ = L.linear_fwd(q(pre + "ffn.w2", act), p[pre + "ffn.w2"])
-            x = x + ff
-
-        xf, _ = self._norm_fwd(x, p, "norm_f")
-        return xf @ p["embed"].T
 
     # ==================================================================
     # Training: loss + full gradients

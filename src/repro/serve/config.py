@@ -18,9 +18,6 @@ Named presets cover the three standard shapes::
 
 each accepting any field as a keyword override, e.g.
 ``ServeConfig.chunked(max_batch_size=16, scheduler_policy="priority")``.
-
-``repro.serve.scheduler.ServeConfig`` remains importable as a
-deprecated alias of this class.
 """
 
 from __future__ import annotations

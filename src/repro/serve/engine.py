@@ -22,8 +22,11 @@ generation into multi-tenant serving:
   ``ServeConfig.prefill_chunk_tokens`` set, admitted prompts do not
   prefill whole and alone: they are split into window-aligned chunks
   and each tick packs the decode rows *plus* a token-budgeted set of
-  prefill chunks (``max_tokens_per_tick``, Sarathi-style) into one
-  :meth:`~repro.model.transformer.TransformerLM.forward_mixed` call;
+  prefill chunks (``max_tokens_per_tick``, Sarathi-style) into the
+  tick's forward.  Either way the tick makes one
+  :meth:`~repro.model.transformer.TransformerLM.forward_mixed` call,
+  which lays decode-only ticks out per row and packs ticks with
+  chunks along one time axis;
 * a request with ``n > 1`` prefills its prompt **once**; when the
   prefill completes, the engine forks the paged lease copy-on-write
   per extra sample (:meth:`~repro.serve.paging.PagedLease.fork`; the
@@ -71,9 +74,9 @@ quantization-window boundaries by construction, so the caches'
 quantized contents are chunk-invariant, while the packed GEMMs may
 wobble in the last float ulp (BLAS kernels are not bitwise
 row-count-invariant) — greedy output stays identical token for token,
-and decode-only ticks still route through ``decode_step_batch``
-unchanged.  (Preemption is the one exception: a preempted request's
-suffix is *recomputed* through the prefill path, which re-quantizes
+and decode-only ticks take ``forward_mixed``'s per-row layout, bitwise
+the single-stream step.  (Preemption is the one exception: a preempted
+request's suffix is *recomputed* through the prefill path, which re-quantizes
 decode-staged MANT windows from scratch — the same trade every
 recompute-based paged server makes.  A preempted half-prefilled prompt
 simply replays from token zero.)
@@ -826,12 +829,12 @@ class GenerationEngine:
         """One engine tick: admit, one fused forward, retire finished.
 
         Unchunked (``prefill_chunk_tokens is None``): admitted prompts
-        prefill whole at admission, then every live sequence rides one
-        ``decode_step_batch``.  Chunked: admission only leases cache
-        storage and opens a :class:`~repro.serve.request.PrefillCursor`;
-        the tick then packs the decode rows plus a token-budgeted set
-        of prompt chunks into one ``forward_mixed`` call (pure-decode
-        ticks keep the bit-exact ``decode_step_batch`` path).
+        prefill whole at admission.  Chunked: admission only leases
+        cache storage and opens a
+        :class:`~repro.serve.request.PrefillCursor`, and the tick adds
+        a token-budgeted set of prompt chunks to its work.  Either way
+        the decode rows and chunks then run as one ``forward_mixed``
+        call (decode-only ticks take its bit-exact per-row layout).
         """
         if not self.scheduler.has_work():
             return []
@@ -864,10 +867,8 @@ class GenerationEngine:
                 with tracer.span("plan"):
                     decode, chunks = self._plan_tick(events)
                 try:
-                    if chunks:
+                    if decode or chunks:
                         self._mixed_tick(decode, chunks, events)
-                    elif decode:
-                        self._decode_tick(decode, events)
                 except PoolExhausted:
                     raise            # genuine capacity error, not a fault
                 except Exception as exc:
@@ -988,7 +989,7 @@ class GenerationEngine:
                     "BlockPool exhausted with a single running sequence: "
                     f"{self.pool.blocks_available} blocks free, {need} needed"
                 )
-            self._preempt(self.scheduler.policy.choose_preemption_victim(victims))
+            self._evict(self.scheduler.policy.choose_preemption_victim(victims))
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -1121,30 +1122,11 @@ class GenerationEngine:
                         FINISH_ERROR, sample=seq.sample_index,
                     ))
 
-    def _decode_tick(self, live: list, events: list) -> None:
-        """One fused ``decode_step_batch`` over every decode row —
-        unchanged from the pre-chunking engine, so decode-only ticks
-        stay bit-identical to the single-stream loop."""
-        with self._tracer.span("forward"):
-            logits = self.model.decode_step_batch(
-                [s.next_token for s in live],
-                [s.lease.caches for s in live],
-                [s.pos for s in live],
-                weights=self.weights, act_quant=self.act_quant,
-                trace=self._model_trace,
-            )
-        self._decode_ticks.inc()
-        self._occupancy_sum.inc(len(live))
-        with self._tracer.span("sample"):
-            for b, seq in enumerate(live):
-                seq.pos += 1
-                seq.decode_steps += 1
-                if seq.finished:
-                    continue   # cancelled mid-tick by a reentrant callback
-                self._emit(seq, seq.sampler.sample(logits[b]), events)
-
     def _mixed_tick(self, decode: list, chunks: list, events: list) -> None:
-        """One packed ``forward_mixed`` over decode rows + prompt chunks."""
+        """The tick's one model call: ``forward_mixed`` over the decode
+        rows plus this tick's prompt chunks.  A tick of decode rows only
+        takes its per-row layout, bit-identical to the single-stream
+        ``decode_step`` of every row."""
         tracer = self._tracer
         with tracer.span("pack_prefill"):
             segments = [
@@ -1263,9 +1245,6 @@ class GenerationEngine:
             sibling.pos = seq.pos
             self.scheduler.add_running(sibling)
             self._emit(sibling, sibling.sampler.sample(logits), events)
-
-    def _preempt(self, seq: _Sequence) -> None:
-        self._evict(seq)
 
     def _evict(self, seq: _Sequence, count_preemption: bool = True) -> None:
         """Running → head of the queue, storage released, replay later.

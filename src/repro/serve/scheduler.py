@@ -46,37 +46,16 @@ admission) lives here; *ordering* is delegated to a
 Admission happens between decode ticks: as requests finish mid-batch,
 their slots free up and the next tick's :meth:`Scheduler.admit_one`
 pulls queued requests in.
-
-.. deprecated::
-    ``repro.serve.scheduler.ServeConfig`` moved to
-    :mod:`repro.serve.config`; the name importable here is a
-    deprecated alias.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 
 from repro.serve.config import ServeConfig as _ServeConfig
 from repro.serve.policy import FCFSPolicy, SchedulerPolicy, get_policy
 
-# lint: allow[export-consistency] ServeConfig has no static binding here by
-# design: the module __getattr__ below serves it as a deprecated alias of
-# repro.serve.config.ServeConfig with a DeprecationWarning.
-__all__ = ["ServeConfig", "Scheduler", "QueueFullError"]
-
-
-def __getattr__(name):
-    if name == "ServeConfig":
-        warnings.warn(
-            "repro.serve.scheduler.ServeConfig is deprecated; import it "
-            "from repro.serve (or repro.serve.config)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _ServeConfig
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["Scheduler", "QueueFullError"]
 
 
 class QueueFullError(RuntimeError):

@@ -10,7 +10,7 @@ patterns (so ``-0.0`` vs ``+0.0`` counts as a difference).
 """
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.groups import from_groups, to_groups
 from repro.datatypes.base import GridDataType
@@ -45,7 +45,7 @@ def reference_group_qdq(gq, x, axis):
 
 
 @st.composite
-def grouped_tensors(draw, max_exp=300):
+def grouped_tensors(draw):
     """A 3-D tensor, a grouped axis, a group size, and a magnitude."""
     group_size = draw(st.sampled_from([1, 3, 4, 8, 16, 64]))
     axis = draw(st.sampled_from([2, 0, 1]))           # last, first, middle
@@ -55,7 +55,7 @@ def grouped_tensors(draw, max_exp=300):
     shape = [draw(st.integers(1, 3)), draw(st.integers(1, 3))]
     shape.insert(axis, length)
     seed = draw(st.integers(0, 2**31 - 1))
-    exp = draw(st.integers(-max_exp, max_exp))
+    exp = draw(st.integers(-300, 300))
     rng = np.random.default_rng(seed)
     x = rng.normal(size=shape) * 10.0**exp
     if draw(st.booleans()):                           # an all-zero group
@@ -91,22 +91,13 @@ def test_group_qdq_equals_index_round_trip_exact_scales(case, bits_):
                           bits(reference_group_qdq(gq, x, axis)))
 
 
-@given(case=grouped_tensors(max_exp=8), bits_=st.sampled_from([4, 8]))
+@given(case=grouped_tensors(), bits_=st.sampled_from([4, 8]))
 @settings(max_examples=80, deadline=None)
 def test_group_qdq_equals_index_round_trip_fp16_scales(case, bits_):
     x, axis, group_size = case
     gq = GroupQuantizer(IntType(bits_), Granularity.GROUP, group_size)
-    # A group whose fp16-rounded scale underflows to 0 turns its zeros
-    # (and zero padding) into 0/0 = NaN, which has no grid index: the
-    # reference raises there, so those draws are out of its domain.
-    # Huge groups (scale rounds to inf) stay in: both paths give NaN.
-    amax = np.max(np.abs(to_groups(x, group_size, axis).groups), axis=-1)
-    with np.errstate(over="ignore"):
-        scale = gq._round_scale(np.where(amax <= 0, 1.0, amax) / gq.dtype.grid_max)
-    assume(np.all(scale > 0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.array_equal(bits(gq.qdq(x, axis=axis)),
-                              bits(reference_group_qdq(gq, x, axis)))
+    assert np.array_equal(bits(gq.qdq(x, axis=axis)),
+                          bits(reference_group_qdq(gq, x, axis)))
 
 
 @given(case=grouped_tensors())

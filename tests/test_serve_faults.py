@@ -404,7 +404,7 @@ class TestForwardFaults:
         # the batch recomputes, and the tick after that is clean.
         ps = prompts(3, seed=13)
         eng = make_engine(model, "paged", max_retries=1)
-        real = model.decode_step_batch
+        real = model.forward_mixed
         state = {"armed": False, "raised": 0}
 
         def flaky(*args, **kwargs):
@@ -414,7 +414,7 @@ class TestForwardFaults:
                 raise ValueError("simulated kernel failure")
             return real(*args, **kwargs)
 
-        model.decode_step_batch = flaky
+        model.forward_mixed = flaky
         try:
             for i, p in enumerate(ps):
                 eng.submit(GenerationRequest(f"r{i}", p, max_tokens=10))
@@ -422,7 +422,7 @@ class TestForwardFaults:
             state["armed"] = True
             eng.generate()               # next decode tick raises
         finally:
-            model.decode_step_batch = real
+            model.forward_mixed = real
         assert state["raised"] == 1
         check_bystanders(model, eng, "fp16", ps, set(), 10)
         assert eng.stats().retries == 3          # every participant charged

@@ -11,10 +11,9 @@ Gates, per the PR acceptance criteria:
 * n>1 parallel-sampling determinism: per-sample streams derived from
   ``(seed, sample_index)``, invariant to batch composition and to the
   storage backend (paged ``PagedLease.fork`` vs arena prefill replay);
-* the v2 config surface (presets, ``scheduler_policy`` validation, the
-  deprecated ``repro.serve.scheduler.ServeConfig`` alias), submit-time
-  request validation, ``RequestHandle`` and the new ``EngineStats``
-  fields.
+* the v2 config surface (presets, ``scheduler_policy`` validation),
+  submit-time request validation, ``RequestHandle`` and the new
+  ``EngineStats`` fields.
 """
 
 import functools
@@ -122,12 +121,6 @@ class TestServeConfigV2:
         # instances must read the field, the class the preset.
         assert ServeConfig().paged is False
         assert callable(ServeConfig.paged)
-
-    def test_scheduler_reexport_deprecated(self):
-        import repro.serve.scheduler as sched
-        with pytest.warns(DeprecationWarning, match="repro.serve.config"):
-            cfg_cls = sched.ServeConfig
-        assert cfg_cls is ServeConfig
 
     def test_consolidated_validation_still_rejects(self):
         with pytest.raises(ValueError, match="max_batch_size"):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.serve import QueueFullError, Scheduler, ServeConfig
 from repro.serve.request import GenerationRequest
-from repro.serve.scheduler import QueueFullError, Scheduler, ServeConfig
 
 
 class _Seq:
