@@ -11,7 +11,7 @@ Usage (from the repo root)::
     PYTHONPATH=src python benchmarks/check_perf.py            # gate
     PYTHONPATH=src python benchmarks/check_perf.py --update   # rebaseline
     PYTHONPATH=src python benchmarks/check_perf.py --check-speedups
-    PYTHONPATH=src python benchmarks/check_perf.py --quick    # loadgen+fleet smoke
+    PYTHONPATH=src python benchmarks/check_perf.py --quick    # decode-row + loadgen + fleet smoke
 
 The gate compares wall-clock on the current machine against a baseline
 recorded on a (possibly different) machine, hence the generous 2x
@@ -27,6 +27,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import timeit
 
 import numpy as np
@@ -438,13 +439,49 @@ def scipy_modules_loaded(src_root: str) -> list[str]:
     return out.stdout.split()
 
 
+def eq5_decode_rows(src_root: str) -> list[str]:
+    """Failures of the served Eq. 5 decode rows (``eq5_probe.py``).
+
+    Runs the probe under 1 and 2 BLAS threads, one subprocess each (the
+    thread count is fixed when the BLAS loads).  Under each, every
+    batched W4A8 decode row must bitwise equal its per-row step and no
+    served row may fall back to the dense GEMV; across the two, the
+    logits must be bitwise equal.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    probe = os.path.join(os.path.dirname(os.path.abspath(__file__)), "eq5_probe.py")
+    failures, logits = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for threads in (1, 2):
+            path = os.path.join(tmp, f"logits{threads}.npy")
+            env["OPENBLAS_NUM_THREADS"] = str(threads)
+            out = subprocess.run([sys.executable, probe, path], env=env,
+                                 capture_output=True, text=True)
+            if out.returncode:
+                return [f"{threads} thread(s): probe exited {out.returncode}: "
+                        + " | ".join(out.stderr.strip().splitlines()[-3:])]
+            summary = json.loads(out.stdout.splitlines()[-1])
+            print(f"  {threads} BLAS thread(s): {summary}")
+            if not summary["rows_equal"]:
+                failures.append(f"{threads} thread(s): batched rows != per-row rows")
+            if summary["fallback_rows"] or not summary["eq5_rows"]:
+                failures.append(f"{threads} thread(s): served rows fell back to "
+                                f"the dense GEMV ({summary})")
+            logits.append(np.load(path))
+    if not np.array_equal(logits[0].view(np.uint64), logits[1].view(np.uint64)):
+        failures.append("decode logits differ between 1 and 2 BLAS threads")
+    return failures
+
+
 def quick_smoke() -> int:
     """``--quick``: a seconds-scale loadgen + fleet self-check, no sweep.
 
     Starts with the import-hygiene gate (``import repro`` must not load
-    SciPy) and the static invariant lint over ``src`` (strict, no
-    baseline — ``repro.lint`` findings of any severity fail the gate),
-    then validates the full loadgen contract on the virtual clock
+    SciPy), the static invariant lint over ``src`` (strict, no
+    baseline — ``repro.lint`` findings of any severity fail the gate)
+    and the served decode-row gate (:func:`eq5_decode_rows`), then
+    validates the full loadgen contract on the virtual clock
     (bit-for-bit trace reproducibility, replay-identical records,
     sound SLO report) and the fleet chaos contract (two replicas,
     seeded replica crash, replay-identical records and fault log, zero
@@ -466,6 +503,12 @@ def quick_smoke() -> int:
         print("LINT GATE FAILED")
         return 1
     print("lint gate passed")
+    print("checking served W4A8 decode rows (Eq. 5, 1 and 2 BLAS threads) ...")
+    failures = eq5_decode_rows(src_root)
+    if failures:
+        print("EQ. 5 DECODE GATE FAILED: " + "; ".join(failures))
+        return 1
+    print("Eq. 5 decode gate passed")
     model, _ = get_model("unit-test")
     for cache_name in ("fp16", "mant4"):
         try:

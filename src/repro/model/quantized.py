@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.fused import MantLevelWeight, level_table_weight
 from repro.core.groups import to_groups, from_groups
 from repro.core.selection import VarianceSelector
 from repro.datatypes.int_type import IntType
@@ -74,10 +75,16 @@ class PTQConfig:
 
 @dataclass
 class PTQSetup:
-    """Ready-to-run quantized model: weights + hooks for the forward."""
+    """Ready-to-run quantized model: weights + hooks for the forward.
+
+    A MANT weight fed by group-INT activations of its group size is a
+    :class:`~repro.core.fused.MantLevelWeight` (the dense fake-quantized
+    array plus the level table decode rows run Eq. 5 on); every other
+    weight is a plain array.
+    """
 
     config: PTQConfig
-    weights: dict[str, np.ndarray]
+    weights: dict[str, np.ndarray | MantLevelWeight]
     act_quant: object | None
     kv_quant: object | None
     artifacts: dict = field(default_factory=dict)
@@ -110,10 +117,26 @@ def _quantize_weights(model: TransformerLM, cfg: PTQConfig,
     if cfg.method == "mant":
         mq = MantModelQuantizer(bits=cfg.w_bits, group_size=cfg.group_size)
         stats = calibration.act_sq_means if calibration else None
-        quantized = mq.quantize_weights(
-            {n: params[n] for n in names}, act_sq_means=stats
-        )
-        out.update(quantized)
+        # Fed by _make_act_quant's group-INT activations, each weight is
+        # served with its Eq. 5 level table, which carries everything the
+        # codes did for serving.  Weights go one at a time, so released
+        # codes make room for the next weight's, and the tables share one
+        # buffer: allocated one by one between the search's multi-MB
+        # temporaries, they fragmented the heap (~10 MB more resident on
+        # perf-m).
+        paired = cfg.a_bits < 16 and (cfg.a_granularity or Granularity.GROUP) is Granularity.GROUP
+        g = cfg.group_size
+        size = {n: params[n].shape[0] * -(-params[n].shape[1] // g) * g for n in names}
+        tables = np.empty(sum(size.values()), dtype=np.float32) if paired else None
+        start = 0
+        for n in sorted(names):
+            out.update(mq.quantize_weights({n: params[n]}, act_sq_means=stats))
+            if paired:
+                out[n] = level_table_weight(out[n], mq.results[n].encoded, cfg.a_bits,
+                                            tables[start : start + size[n]])
+                start += size[n]
+                if isinstance(out[n], MantLevelWeight):
+                    mq.results[n].encoded = None
         artifacts["mant_weights"] = mq
         return out
 
@@ -167,15 +190,27 @@ def _pad_to_multiple(x: np.ndarray, m: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Activation quantization per method
 # ----------------------------------------------------------------------
+def _row_local_hook(gq: GroupQuantizer):
+    """``act_quant`` quantizing the last axis with ``gq``.  Group and
+    channel scales are per row, so such a hook declares itself
+    row-local (``hook.row_local``): a batch of rows may be quantized in
+    one call."""
+    def hook(name, x):
+        return gq.qdq(x, axis=-1)
+
+    hook.row_local = gq.granularity is not Granularity.TENSOR
+    return hook
+
+
 def _make_act_quant(cfg: PTQConfig):
     if cfg.method == "fp16" or cfg.a_bits >= 16:
         return None
-    if cfg.method == "mant" or cfg.method == "int" or cfg.method == "cluster":
-        # MANT framework: activations are plain group-wise INT (Sec. V-B).
-        gq = GroupQuantizer(
+    if cfg.method in ("mant", "int", "cluster", "nf", "fp", "pot", "flint"):
+        # MANT framework: activations are plain group-wise INT (Sec. V-B),
+        # and the plain data-type rows quantize activations the same way.
+        return _row_local_hook(GroupQuantizer(
             IntType(cfg.a_bits), cfg.a_granularity or Granularity.GROUP, cfg.group_size
-        )
-        return lambda name, x: gq.qdq(x, axis=-1)
+        ))
     if cfg.method == "ant":
         aq = AntQuantizer(
             bits=cfg.a_bits,
@@ -196,11 +231,6 @@ def _make_act_quant(cfg: PTQConfig):
         return lambda name, x: tq.qdq(x, axis=-1)
     if cfg.method in ("mxfp",):
         return lambda name, x: mxfp4_qdq(_pad_to_multiple(x, 32), 32)[..., : x.shape[-1]]
-    if cfg.method in ("nf", "fp", "pot", "flint"):
-        gq = GroupQuantizer(
-            IntType(cfg.a_bits), cfg.a_granularity or Granularity.GROUP, cfg.group_size
-        )
-        return lambda name, x: gq.qdq(x, axis=-1)
     raise ValueError(f"unknown activation method {cfg.method!r}")
 
 

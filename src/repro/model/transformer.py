@@ -19,9 +19,11 @@ split up:
   ``act_quant`` sees each projection input whole.
 * :meth:`~TransformerLM.forward_mixed` — the one cached forward, over
   any mix of decode rows and prompt chunks of many sequences.  It lays
-  decode-only calls out per row ``(B, 1, d)`` (one GEMV per row,
-  bitwise the single-sequence step) and packs calls with chunks along
-  one time axis ``(1, T, d)``; ``act_quant`` runs per segment.
+  decode-only calls out per row ``(B, 1, d)`` (served MANT weights run
+  the paper's Eq. 5 on recovered INT codes, other weights one GEMV per
+  row; either way bitwise the single-sequence step) and packs calls
+  with chunks along one time axis ``(1, T, d)``; ``act_quant`` runs
+  per segment, or once per input for a row-local hook.
   :meth:`~TransformerLM.prefill`, :meth:`~TransformerLM.prefill_chunk`,
   :meth:`~TransformerLM.decode_step` and
   :meth:`~TransformerLM.decode_step_batch` are single calls of it.
@@ -33,7 +35,9 @@ The inference faces accept the quantization hooks the accuracy
 experiments plug in:
 
 ``weights``
-    Substituted (fake-quantized) weight dict.
+    Substituted (fake-quantized) weight dict; a served MANT weight
+    (:class:`~repro.core.fused.MantLevelWeight`) stands in for its dense
+    array.
 ``act_quant(name, x)``
     Applied to the *input* of every linear projection — this is where
     group-wise INT8/INT4 activation quantization happens.
@@ -56,6 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.fused import MantLevelWeight, recover_int_rows
 from repro.model import layers as L
 
 # Shared no-op context for untraced cache writes: generation methods
@@ -196,22 +201,40 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _per_slice(act_quant, spans=(), axis=0):
+def _per_slice(act_quant, spans=(), axis=0, row_local=False):
     """The stack's ``q(name, h)``: ``act_quant`` applied to each
     ``[start, end)`` slice of ``h`` along ``axis`` on its own.
 
-    Without ``spans``, or with one, it sees the whole tensor.  Tensor- or channel-granularity
-    scales computed across slices would couple the sequences sharing a
-    forward, so each sequence keeps its single-stream numerics.
+    Without ``spans``, or with one, it sees the whole tensor.  Tensor- or
+    channel-granularity scales computed across slices would couple the
+    sequences sharing a forward, so each sequence keeps its
+    single-stream numerics.  A ``row_local`` hook — one whose output
+    row depends only on its input row, like a per-token group
+    quantizer — sees the whole tensor too: slicing cannot change it.
     """
     if act_quant is None:
         return lambda name, h: h
-    if len(spans) <= 1:
+    if row_local or len(spans) <= 1:
         return act_quant
     index = [(slice(None),) * axis + (slice(s, e),) for s, e in spans]
     return lambda name, h: np.concatenate(
         [act_quant(name, h[i]) for i in index], axis=axis
     )
+
+
+def _with_int_rows(q, p):
+    """Wrap ``q`` so that an input headed for a served MANT weight
+    (:class:`~repro.core.fused.MantLevelWeight`) carries its recovered
+    INT codes, which :func:`~repro.model.layers.linear_fwd` turns into
+    Eq. 5.  Recovered once per quantization point: q/k/v share one
+    input, gate/up another."""
+    def q_rows(name, h):
+        x = q(name, h)
+        w = p[name]
+        if isinstance(w, MantLevelWeight):
+            return recover_int_rows(x, w.group_size, w.act_qmax)
+        return x
+    return q_rows
 
 
 class TransformerLM:
@@ -375,7 +398,7 @@ class TransformerLM:
         )[0]
 
     def forward_mixed(self, segments, weights=None, act_quant=None,
-                      trace=None):
+                      trace=None, act_row_local=None):
         """The cached forward: decode rows *and* prefill chunks in one pass.
 
         ``segments`` is a list of :class:`MixedSegment`s — any mix of
@@ -390,22 +413,27 @@ class TransformerLM:
 
         The operand layout follows the segments:
 
-        * **All decode rows** — per-row ``(B, 1, d)``.  The projections
-          and the vocabulary projection go through
-          :func:`~repro.model.layers.linear_fwd`, which keeps one GEMV
-          per row and walks a large weight in tiles of output rows, each
-          read from memory once for the whole batch.  A GEMV output does
-          not depend on how many outputs share the call, so row ``b`` is
-          bit-identical to the single-sequence step — the invariant the
-          serving engine's greedy equivalence rests on.  Flattening the
-          rows to one ``(B, d)`` GEMM would read each weight once as
-          well, but a GEMM sums in another order and moves rows in the
-          last ulp.
+        * **All decode rows** — per-row ``(B, 1, d)``.  Each projection
+          input headed for a served MANT weight
+          (:class:`~repro.core.fused.MantLevelWeight`, what
+          :func:`~repro.model.quantized.build_ptq` pairs with its
+          group-INT activation quantizer) gets its INT codes recovered,
+          and :func:`~repro.model.layers.linear_fwd` runs the paper's
+          Eq. 5 on it: exact float32 integer partial sums per group,
+          scaled after accumulation in a fixed order.  Rows off the INT
+          grid (no ``act_quant``, another quantizer) and raw weights,
+          the vocabulary projection included, run one float64 GEMV per
+          row.  Either way row ``b`` is bit-identical to the
+          single-sequence step whatever rows share the call — the
+          invariant the serving engine's greedy equivalence rests on.
+          Never flatten the rows to one ``(B, d)`` float64 GEMM: a GEMM
+          sums in another order and moves rows in the last ulp.
         * **Any prompt chunk** — all segments packed along one time axis
-          ``(1, T, d)``, so every dense op runs once for the whole tick.
-          BLAS kernels are not bitwise invariant to row count, so packed
-          output is token-identical (quantization grids absorb ulp
-          noise), not logits-bitwise-identical, to unpacked runs.
+          ``(1, T, d)``, so every dense op runs once for the whole tick,
+          on the dense weights.  BLAS kernels are not bitwise invariant
+          to row count, so packed output is token-identical
+          (quantization grids absorb ulp noise), not
+          logits-bitwise-identical, to unpacked runs.
 
         Either way RoPE gathers each token's own rotation row, decode
         rows fuse their cache appends through ``append_batch``, chunks
@@ -418,7 +446,13 @@ class TransformerLM:
         channel-granularity scales computed across segments would couple
         sequences.  A chunked prefill is therefore quantized per chunk,
         which is exact for the per-token group-wise quantizers serving
-        uses.  ``trace``, when given, is a span factory
+        uses.  A hook that declares itself row-local
+        (``act_quant.row_local``, as :func:`~repro.model.quantized.
+        build_ptq`'s group quantizers do) is called once per projection
+        input instead.  ``act_row_local``, when not None, overrides that
+        declaration: the serving engine reads it once, where the hook
+        enters the engine, so a hook wrapped later keeps the program.
+        ``trace``, when given, is a span factory
         (``trace("append")`` returns a context manager) timing the
         per-layer cache writes — the serving engine's tick tracer plugs
         in here.
@@ -465,10 +499,14 @@ class TransformerLM:
                    for qs, cache, seg in zip(q_seg, caches, segments)]
             return _merge_heads(np.stack(att) if rows else np.concatenate(att, axis=1)[None])
 
+        if act_row_local is None:
+            act_row_local = getattr(act_quant, "row_local", False)
+        q = _per_slice(act_quant, spans, 0 if rows else 1, act_row_local)
+        if rows and act_quant is not None:
+            q = _with_int_rows(q, p)
         layout = (-1, 1) if rows else (1, -1)
         xf = self._stack(ids.reshape(layout), positions.reshape(layout), p,
-                         _per_slice(act_quant, spans, axis=0 if rows else 1),
-                         rope, attend)
+                         q, rope, attend)
         if rows:
             logits, _ = L.linear_fwd(xf, p["embed"])          # (B, 1, V)
             return list(logits[:, 0])

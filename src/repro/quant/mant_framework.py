@@ -92,15 +92,25 @@ class MantQuantizer:
 
 @dataclass
 class QuantizedWeight:
-    """One weight's quantization artifacts: codes + fake-quant values."""
+    """One weight's quantization artifacts: codes + fake-quant values.
+
+    ``a_coeff`` keeps the per-group coefficients (Fig. 15's raw data)
+    even after ``encoded`` is set to None to release the codes, as
+    :func:`repro.model.quantized.build_ptq` does for weights it serves
+    from a level table.
+    """
 
     name: str
-    encoded: MantEncoded
+    encoded: MantEncoded | None
     dequantized: np.ndarray
+    a_coeff: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.a_coeff = self.encoded.a_coeff
 
     def a_histogram(self) -> dict[float, float]:
         """Fraction of groups per coefficient (Fig. 15 raw data)."""
-        a = self.encoded.a_coeff.ravel()
+        a = self.a_coeff.ravel()
         values, counts = np.unique(a, return_counts=True)
         total = a.size
         return {float(v): float(c) / total for v, c in zip(values, counts)}
@@ -147,7 +157,7 @@ class MantModelQuantizer:
         """Fraction of all groups that chose the plain-INT option."""
         total, ints = 0, 0
         for qw in self.results.values():
-            a = qw.encoded.a_coeff
+            a = qw.a_coeff
             total += a.size
             ints += int(np.sum(a == INT_A))
         return ints / total if total else 0.0

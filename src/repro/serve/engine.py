@@ -345,7 +345,10 @@ class GenerationEngine:
     batch lane) or, with ``config.paged``, a
     :class:`~repro.serve.paging.BlockPool` of fixed-size pages shared
     by all lanes.  ``weights``/``act_quant`` are the usual quantization
-    hooks, applied identically to every request.  ``detokenize`` is an
+    hooks, applied identically to every request; whether ``act_quant``
+    declares itself row-local (``act_quant.row_local``, see
+    :meth:`~repro.model.transformer.TransformerLM.forward_mixed`) is read
+    here, once.  ``detokenize`` is an
     optional ``(token_ids) -> str`` callback; when given, every emitted
     :class:`TokenEvent` carries the incremental ``text`` suffix.
     ``policy`` overrides the config's ``scheduler_policy`` with a
@@ -383,6 +386,9 @@ class GenerationEngine:
         self.config = config
         self.weights = weights
         self.act_quant = act_quant
+        # Read once, where the hook enters: a caller that later wraps
+        # ``self.act_quant`` (a tracer, say) keeps the same program.
+        self._act_row_local = bool(getattr(act_quant, "row_local", False))
         self._faults = faults
         if faults is not None:
             clock = faults.wrap_clock(clock)
@@ -1144,7 +1150,7 @@ class GenerationEngine:
         with tracer.span("forward"):
             outs = self.model.forward_mixed(
                 segments, weights=self.weights, act_quant=self.act_quant,
-                trace=self._model_trace,
+                trace=self._model_trace, act_row_local=self._act_row_local,
             )
         if decode:
             self._decode_ticks.inc()

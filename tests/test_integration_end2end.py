@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.fused import (
+    MantLevelWeight,
     fused_group_gemm,
     quantize_activations_int8,
     reference_group_gemm,
@@ -71,7 +72,9 @@ class TestPTQPipeline:
         setup = build_ptq(model, PTQConfig(method="mant"), calib)
         assert np.array_equal(setup.weights["embed"], model.params["embed"])
         name = model.config.linear_names()[0]
-        assert not np.array_equal(setup.weights[name], model.params[name])
+        served = setup.weights[name]
+        assert isinstance(served, MantLevelWeight)
+        assert not np.array_equal(served.dense, model.params[name])
 
 
 class TestAlgorithmHardwareAgreement:

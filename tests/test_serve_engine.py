@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.model import layers as L
-from repro.model.quantized import PTQConfig, build_ptq
 from repro.model.transformer import ModelConfig, TransformerLM
 from repro.quant.kvcache import FP16KVCache, IntKVCache, MantKVCache
 from repro.serve import (
@@ -47,31 +46,19 @@ def opt_model():
     return TransformerLM(cfg)
 
 
-@pytest.fixture(scope="module")
-def wide_w4a8():
-    """A random-init llama wide enough for tiled decode projections
-    (FFN and LM head weights above ``L.TILE_BYTES``), served MANT W4A8."""
-    cfg = ModelConfig(vocab_size=512, d_model=256, n_heads=4, n_layers=2,
-                      d_ff=704, max_seq=128, seed=11)
-    model = TransformerLM(cfg)
-    ptq = build_ptq(model, PTQConfig(method="mant", w_bits=4, a_bits=8,
-                                     group_size=64))
-    return model, ptq
-
-
 def prompts(n, seed=0, lo=3, hi=12):
     rng = np.random.default_rng(seed)
     return [rng.integers(0, VOCAB, size=int(rng.integers(lo, hi))) for _ in range(n)]
 
 
-def single_stream(model, cache_factory, prompt, n_tokens):
+def single_stream(model, cache_factory, prompt, n_tokens, **hooks):
     """The pre-serving generation loop (mirrors model/tasks._generate)."""
     caches = [cache_factory() for _ in range(model.config.n_layers)]
-    logits = model.prefill(prompt, caches)
+    logits = model.prefill(prompt, caches, **hooks)
     out, pos, token = [], len(prompt), int(np.argmax(logits))
     for _ in range(n_tokens):
         out.append(token)
-        logits = model.decode_step(token, caches, pos)
+        logits = model.decode_step(token, caches, pos, **hooks)
         token = int(np.argmax(logits))
         pos += 1
     return out
@@ -118,13 +105,19 @@ class TestGreedyEquivalence:
             ref = model.decode_step(toks[b], single_caches[b], poss[b])
             assert np.array_equal(batched[b], ref)
 
-    def test_decode_step_batch_bitwise_tiled_w4a8(self, wide_w4a8):
-        """Tiled (weight-stationary) projections keep batched rows
-        bitwise equal to the single-stream step, with MANT W4A8
-        act_quant and the MANT KV cache, step after step."""
+    @pytest.mark.parametrize("bsz", [2, 8, 16])
+    def test_decode_step_batch_bitwise_eq5_w4a8(self, wide_w4a8, monkeypatch, bsz):
+        """Served MANT W4A8 projections run Eq. 5 on every decode row and
+        keep batched rows bitwise equal to the single-stream step, with
+        the MANT KV cache, step after step."""
         model, ptq = wide_w4a8
-        tiled = [n for n, w in ptq.weights.items() if w.nbytes > L.TILE_BYTES]
-        assert "embed" in tiled and "layers.0.ffn.wdown" in tiled
+        kernel, rows = L.served_group_gemm, []
+
+        def spy(x, w):
+            rows.append((int(x.on.sum()), int((~x.on).sum())))
+            return kernel(x, w)
+
+        monkeypatch.setattr(L, "served_group_gemm", spy)
         d_head = model.config.d_head
 
         def caches():
@@ -132,7 +125,7 @@ class TestGreedyEquivalence:
                     for _ in range(model.config.n_layers)]
 
         rng = np.random.default_rng(13)
-        ps = [rng.integers(0, 512, size=n) for n in (5, 17, 30, 9, 64, 2, 41, 12)]
+        ps = [rng.integers(0, 512, size=int(n)) for n in rng.integers(2, 65, bsz)]
         single_caches, batch_caches, toks, poss = [], [], [], []
         for p in ps:
             cs, cb = caches(), caches()
@@ -154,6 +147,12 @@ class TestGreedyEquivalence:
                                       ref.view(np.uint64))
             toks = [int(np.argmax(row)) for row in batched]
             poss = [pos + 1 for pos in poss]
+        # Every step: one batched forward plus one per row, each with 7
+        # projections a layer; no row ever falls back to the dense GEMV.
+        calls = 7 * model.config.n_layers
+        assert len(rows) == 10 * calls * (1 + bsz)
+        assert sum(on for on, _ in rows) == 10 * calls * 2 * bsz
+        assert all(off == 0 for _, off in rows)
 
     def test_act_quant_applied_per_sequence(self, model):
         """Tensor-granularity activation scales must not couple batch rows."""
@@ -179,6 +178,33 @@ class TestGreedyEquivalence:
             ref = model.decode_step(toks[b], single_caches[b], poss[b],
                                     act_quant=tensor_act_quant)
             assert np.array_equal(batched[b], ref)
+
+    def test_row_local_declaration_read_at_construction(self, wide_w4a8):
+        """The engine reads ``act_quant.row_local`` where the hook enters
+        it: a plain wrapper installed afterwards, as a tracer does, is
+        still called once per decode projection input, not once per row,
+        and tokens stay the single-stream loop's."""
+        model, ptq = wide_w4a8
+        hook = ptq.act_quant
+        factory = functools.partial(MantKVCache, bits=4, group_size=64, window=64)
+        engine = GenerationEngine(model, factory, ServeConfig(max_batch_size=4),
+                                  weights=ptq.weights, act_quant=hook)
+        rows_per_call = []
+
+        def wrapped(name, x):
+            rows_per_call.append(x.shape[0])
+            return hook(name, x)
+
+        engine.act_quant = wrapped
+        rng = np.random.default_rng(5)
+        ps = [rng.integers(0, 512, size=n) for n in (4, 9, 6, 12)]
+        results = engine.generate(
+            [GenerationRequest(f"r{i}", p, max_tokens=4) for i, p in enumerate(ps)]
+        )
+        assert max(rows_per_call) == 4
+        hooks = {"weights": ptq.weights, "act_quant": hook}
+        for i, p in enumerate(ps):
+            assert results[f"r{i}"].tokens == single_stream(model, factory, p, 4, **hooks)
 
     def test_over_budget_request_rejected_not_wedged(self, model):
         """A request that can never fit must not stall the queue forever."""
